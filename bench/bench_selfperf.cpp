@@ -12,6 +12,9 @@
 //                            every access misses, fills, and evicts
 //   prefetch_heavy           full Hierarchy::simulate() over a sequential
 //                            stream with all prefetchers firing
+//   llc_compute_phase        Broadwell Hierarchy: compute phases of 24 MiB
+//                            and 64 MiB (pollute) between 64-line bursts;
+//                            whole-cache work per phase shows up here
 //   coherent_4core_mix       4-core CoherentHierarchy, private streams plus
 //                            a shared region with stores (MESI traffic)
 //
@@ -147,6 +150,26 @@ Score run_prefetch_heavy(int reps) {
   return s;
 }
 
+Score run_llc_compute_phase(int reps) {
+  // The app model's message loop on Broadwell's 45 MiB LLC (737,280
+  // ways): a compute phase, then a burst of match-state accesses.
+  // Repetitions alternate the AMG/MiniFE working set (24 MiB: the LLC
+  // keeps its MRU lines) with FDS's (64 MiB: it loses everything). Each
+  // phase costs only the sets the burst grew; a pollute or flush that
+  // walks every way drops this row by orders of magnitude.
+  cachesim::Hierarchy h(cachesim::broadwell());
+  constexpr std::uint64_t kLines = 64;
+  bool fds_phase = false;
+  Score s = timed(kLines, reps, [&] {
+    h.pollute(fds_phase ? std::size_t{64} << 20 : std::size_t{24} << 20);
+    fds_phase = !fds_phase;
+    return static_cast<std::uint64_t>(h.simulate(make_addr_source(
+        kLines, [](std::uint64_t i) { return Addr{4099} * i; })));
+  });
+  s.sim_miss_rate = 1.0 - h.level(h.level_count() - 1).stats().hit_rate();
+  return s;
+}
+
 Score run_coherent_4core_mix(int reps) {
   constexpr unsigned kCores = 4;
   coherence::CoherentHierarchy coh(cachesim::sandy_bridge(), kCores);
@@ -232,6 +255,7 @@ int main(int argc, char** argv) {
       {"l1_lru_churn", bench::run_l1_lru_churn, reps},
       {"llc_miss_stream", bench::run_llc_miss_stream, quick ? 4 : 40},
       {"prefetch_heavy", bench::run_prefetch_heavy, quick ? 20 : 200},
+      {"llc_compute_phase", bench::run_llc_compute_phase, 2000},
       {"coherent_4core_mix", bench::run_coherent_4core_mix, quick ? 20 : 200},
   };
 

@@ -1,12 +1,79 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "common/mutex.hpp"
 
 namespace semperm::cachesim {
 
 namespace obs = semperm::obs;
+
+namespace {
+
+/// Words in the storage block of a `sets` x `assoc` cache: tags and
+/// metadata for every way, then one grown bit per set.
+std::size_t block_words(std::size_t sets, unsigned assoc) {
+  return sets * 2 * assoc + (sets + 63) / 64;
+}
+
+/// Storage blocks of destroyed caches, each taken by the next cache of the
+/// same geometry (DESIGN.md §10.1). The key is set count *and* associativity:
+/// equal-sized blocks of two shapes put tags and metadata at different
+/// offsets, so a size-keyed pool would hand one shape's tags to the other
+/// as metadata. LIFO, so the block most recently in use is reused first.
+/// At most kMaxPooledWords are held; a block beyond that is freed.
+class StoragePool {
+ public:
+  struct Block {
+    std::size_t sets = 0;
+    unsigned assoc = 0;
+    std::uint64_t epoch = 0;  // the owner's epoch when it was destroyed
+    std::unique_ptr<std::uint64_t[]> words;
+  };
+
+  std::optional<Block> take(std::size_t sets, unsigned assoc) {
+    MutexLock lock(mu_);
+    for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
+      if (it->sets != sets || it->assoc != assoc) continue;
+      Block b = std::move(*it);
+      free_.erase(std::next(it).base());
+      pooled_words_ -= block_words(sets, assoc);
+      return b;
+    }
+    return std::nullopt;
+  }
+
+  void give(Block b) {
+    const std::size_t words = block_words(b.sets, b.assoc);
+    MutexLock lock(mu_);
+    if (pooled_words_ + words > kMaxPooledWords) return;  // freed with `b`
+    pooled_words_ += words;
+    free_.push_back(std::move(b));
+  }
+
+ private:
+  // 64 MiB: room for the caches of a 64-core KNL model (17 MB) and a
+  // Broadwell LLC (12 MB) at once.
+  static constexpr std::size_t kMaxPooledWords = std::size_t{8} << 20;
+  Mutex mu_;
+  std::vector<Block> free_ GUARDED_BY(mu_);
+  std::size_t pooled_words_ GUARDED_BY(mu_) = 0;
+};
+
+/// The pool outlives every cache: each constructor calls this before it
+/// finishes, so the static is constructed first and destroyed last.
+StoragePool& storage_pool() {
+  static StoragePool pool;
+  return pool;
+}
+
+}  // namespace
 
 #if SEMPERM_TRACE
 namespace {
@@ -31,6 +98,7 @@ obs::OwnerId fill_owner(FillReason reason) {
 SetAssocCache::SetAssocCache(std::string name, std::size_t size_bytes,
                              unsigned assoc)
     : name_(std::move(name)), size_bytes_(size_bytes), assoc_(assoc) {
+  StoragePool& pool = storage_pool();
   SEMPERM_ASSERT(assoc_ > 0);
   SEMPERM_ASSERT(size_bytes_ % (static_cast<std::size_t>(assoc_) * kCacheLine) == 0);
   // Non-power-of-two set counts are common for sliced LLCs (e.g. 18-slice
@@ -42,11 +110,31 @@ SetAssocCache::SetAssocCache(std::string name, std::size_t size_bytes,
   } else {
     fastmod_magic_ = fastmod_magic(set_count_);
   }
-  tags_.assign(set_count_ * assoc_, 0);
-  meta_.assign(set_count_ * assoc_, pack(kStaleEpoch, FillReason::kDemand,
-                                         LineClass::kNormal, false));
+  if (auto recycled = pool.take(set_count_, assoc_)) {
+    // Every way of the block carries an epoch <= the old owner's (or the
+    // never-current kStaleEpoch), so one epoch later they are all holes.
+    block_ = std::move(recycled->words);
+    epoch_ = recycled->epoch + 1;
+    SEMPERM_ASSERT(epoch_ < kStaleEpoch);
+  } else {
+    block_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+        block_words(set_count_, assoc_));
+    for (std::size_t s = 0; s < set_count_; ++s) {
+      std::fill_n(set_tags(s), assoc_, Addr{0});
+      std::fill_n(set_meta(s), assoc_,
+                  pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal,
+                       false));
+    }
+  }
+  grown_ = block_.get() + set_count_ * 2 * assoc_;
+  std::fill_n(grown_, grown_words(), std::uint64_t{0});
   SEMPERM_TRACE_ONLY(trace_track_ = obs::intern_track(name_);
                      occ_prefix_ = name_;)
+}
+
+SetAssocCache::~SetAssocCache() {
+  if (block_)  // null once moved from
+    storage_pool().give({set_count_, assoc_, epoch_, std::move(block_)});
 }
 
 std::size_t SetAssocCache::access_batch(std::span<const Addr> lines) {
@@ -70,11 +158,19 @@ std::optional<Addr> SetAssocCache::fill(Addr line, FillReason reason,
 
 std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_line(
     Addr line, FillReason reason, LineClass cls, bool dirty) {
+  bool resident = false;
+  return probe_fill(line, reason, cls, dirty, resident);
+}
+
+std::optional<SetAssocCache::EvictedWay> SetAssocCache::probe_fill(
+    Addr line, FillReason reason, LineClass cls, bool dirty, bool& resident) {
   const std::size_t s = set_index(line);
   Addr* tags = set_tags(s);
   Meta* meta = set_meta(s);
   SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
-  if (const std::size_t i = find_way(tags, meta, line); i < assoc_) {
+  const std::size_t i = find_way(tags, meta, line);
+  resident = i < assoc_;
+  if (resident) {
     // Refresh LRU position; heater touches re-mark the line so coverage
     // accounting reflects the most recent provider.
     Meta m = meta[i];
@@ -84,8 +180,13 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_line(
       m = (m & ~kReasonMask) |
           (static_cast<Meta>(FillReason::kHeater) << kReasonShift);
     }
+    // A network line turned normal grows its set's normal count.
+    if (cls == LineClass::kNormal && is_network(m)) mark_grown(s);
     m = cls == LineClass::kNetwork ? (m | kNetworkBit) : (m & ~kNetworkBit);
-    SEMPERM_AUDIT_ONLY(if (dirty && !is_dirty(m)) ++audit_dirty_marks_;)
+    if (dirty && !is_dirty(m)) {
+      ++dirty_ways_;
+      SEMPERM_AUDIT_ONLY(++audit_dirty_marks_;)
+    }
     if (dirty) m |= kDirtyBit;
     // A refresh transfers ownership to the refreshing component (the
     // heater re-claiming a workload line is the paper's occupancy story);
@@ -122,8 +223,8 @@ SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(Addr line,
 }
 
 std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
-    [[maybe_unused]] std::size_t s, Addr* tags, Meta* meta, Addr line,
-    FillReason reason, LineClass cls, bool dirty) {
+    std::size_t s, Addr* tags, Meta* meta, Addr line, FillReason reason,
+    LineClass cls, bool dirty) {
   if (reason == FillReason::kPrefetch) ++stats_.prefetch_fills;
   if (reason == FillReason::kHeater) ++stats_.heater_fills;
 
@@ -157,8 +258,15 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
       hole = static_cast<std::size_t>(std::countr_one(live_mask(meta)));
     }
   }
-  if (evicted && evicted->dirty) ++stats_.writebacks;
-  SEMPERM_AUDIT_ONLY(if (dirty) ++audit_dirty_marks_;)
+  if (evicted && evicted->dirty) {
+    ++stats_.writebacks;
+    --dirty_ways_;
+  }
+  if (dirty) {
+    ++dirty_ways_;
+    SEMPERM_AUDIT_ONLY(++audit_dirty_marks_;)
+  }
+  if (cls == LineClass::kNormal) mark_grown(s);
   SEMPERM_ASSERT_MSG(hole < assoc_, name_ << " has no way left for line "
                                           << line << " (partition overfull)");
   // Timeline probes: evictions of heater-owned lines get their own event
@@ -200,9 +308,8 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
 }
 
 bool SetAssocCache::touch_fill(Addr line, FillReason reason, LineClass cls) {
-  const std::size_t s = set_index(line);
-  const bool resident = find_way(set_tags(s), set_meta(s), line) < assoc_;
-  fill_line(line, reason, cls);
+  bool resident = false;
+  probe_fill(line, reason, cls, /*dirty=*/false, resident);
   return resident;
 }
 
@@ -211,7 +318,10 @@ bool SetAssocCache::mark_dirty(Addr line) {
   Meta* meta = set_meta(s);
   const std::size_t i = find_way(set_tags(s), meta, line);
   if (i == assoc_) return false;
-  SEMPERM_AUDIT_ONLY(if (!is_dirty(meta[i])) ++audit_dirty_marks_;)
+  if (!is_dirty(meta[i])) {
+    ++dirty_ways_;
+    SEMPERM_AUDIT_ONLY(++audit_dirty_marks_;)
+  }
   meta[i] |= kDirtyBit;
   return true;
 }
@@ -228,7 +338,10 @@ void SetAssocCache::invalidate(Addr line) {
   Meta* meta = set_meta(s);
   const std::size_t i = find_way(set_tags(s), meta, line);
   if (i == assoc_) return;
-  if (is_dirty(meta[i])) ++stats_.writebacks;
+  if (is_dirty(meta[i])) {
+    ++stats_.writebacks;
+    --dirty_ways_;
+  }
   SEMPERM_TRACE_INSTANT(obs::Category::kCache, "invalidate", trace_track_,
                         line, is_dirty(meta[i]) ? 1.0 : 0.0);
   SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
@@ -236,17 +349,13 @@ void SetAssocCache::invalidate(Addr line) {
 }
 
 void SetAssocCache::flush() {
-  // Dirty residents are written back by the flush (the epoch bump is lazy,
-  // so account for them eagerly here).
-  SEMPERM_TRACE_ONLY(std::uint64_t flush_writebacks = 0;)
-  for (const Meta m : meta_)
-    if (way_live(m) && is_dirty(m)) {
-      ++stats_.writebacks;
-      SEMPERM_TRACE_ONLY(++flush_writebacks;)
-    }
+  // Dirty residents are written back by the flush: the running count says
+  // how many, so the epoch bump below is all the way work there is.
   SEMPERM_TRACE_INSTANT(obs::Category::kCache, "flush", trace_track_,
-                        resident_lines(),
-                        static_cast<double>(flush_writebacks));
+                        resident_lines(), static_cast<double>(dirty_ways_));
+  stats_.writebacks += dirty_ways_;
+  dirty_ways_ = 0;
+  ungrown_bound_ = 0;  // nothing is live
   ++epoch_;
   SEMPERM_ASSERT(epoch_ < kStaleEpoch);
   // Every owner lost every line; the stale holes left behind decrement
@@ -267,39 +376,64 @@ void SetAssocCache::pollute(std::size_t bytes) {
   // The compute stream is ordinary traffic: with a partition configured it
   // competes only for the normal ways and cannot displace network lines.
   const std::size_t normal_capacity = assoc_ - reserved_ways_;
-  for (std::size_t s = 0; s < set_count_; ++s) {
-    Meta* meta = set_meta(s);
-    // The stream's lines and the residents compete for the normal ways;
-    // only the overflow (LRU-first) is displaced. A set holding few lines
-    // keeps them all — this is how a large LLC retains match state.
-    std::size_t normal = 0;
-    for (std::size_t i = 0; i < assoc_; ++i)
-      if (way_live(meta[i]) && !is_network(meta[i])) ++normal;
-    if (normal + per_set <= normal_capacity) continue;
-    std::size_t drop = normal + per_set - normal_capacity;
-    for (std::size_t i = assoc_; i-- > 0 && drop > 0;) {
-      if (way_live(meta[i]) && !is_network(meta[i])) {
-        if (is_dirty(meta[i])) ++stats_.writebacks;
-        SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
-        meta[i] = pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal,
-                       false);
-        --drop;
+  if (ungrown_bound_ == 0 || ungrown_bound_ + per_set <= normal_capacity) {
+    // An unmarked set holds at most ungrown_bound_ normal lines: none to
+    // lose, or few enough that the stream fits beside them. Only the sets
+    // that grew since the last pollute can lose lines. Ascending set
+    // order, as in the full walk.
+    for (std::size_t w = 0; w < grown_words(); ++w) {
+      for (std::uint64_t bits = grown_[w]; bits != 0; bits &= bits - 1)
+        trim_set(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)),
+                 per_set, normal_capacity);
+      grown_[w] = 0;
+    }
+  } else {
+    for (std::size_t s = 0; s < set_count_; ++s)
+      trim_set(s, per_set, normal_capacity);
+    std::fill_n(grown_, grown_words(), std::uint64_t{0});
+  }
+  // Every set now keeps at most the normal ways the stream left over.
+  ungrown_bound_ = normal_capacity - std::min(per_set, normal_capacity);
+}
+
+void SetAssocCache::trim_set(std::size_t s, std::size_t per_set,
+                             std::size_t normal_capacity) {
+  Meta* meta = set_meta(s);
+  // The stream's lines and the residents compete for the normal ways;
+  // only the overflow (LRU-first) is displaced. A set holding few lines
+  // keeps them all — this is how a large LLC retains match state.
+  std::size_t normal = 0;
+  for (std::size_t i = 0; i < assoc_; ++i)
+    if (way_live(meta[i]) && !is_network(meta[i])) ++normal;
+  if (normal + per_set <= normal_capacity) return;
+  std::size_t drop = normal + per_set - normal_capacity;
+  for (std::size_t i = assoc_; i-- > 0 && drop > 0;) {
+    if (way_live(meta[i]) && !is_network(meta[i])) {
+      if (is_dirty(meta[i])) {
+        ++stats_.writebacks;
+        --dirty_ways_;
       }
+      SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
+      meta[i] = pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal,
+                     false);
+      --drop;
     }
   }
 }
 
 std::size_t SetAssocCache::resident_lines_filled_by(FillReason reason) const {
   std::size_t n = 0;
-  for (const Meta m : meta_)
+  for_each_meta([&](Meta m) {
     if (way_live(m) && reason_of(m) == reason) ++n;
+  });
   return n;
 }
 
 std::size_t SetAssocCache::resident_lines() const {
   std::size_t n = 0;
-  for (const Meta m : meta_)
+  for_each_meta([&](Meta m) {
     if (way_live(m)) ++n;
+  });
   return n;
 }
 
@@ -354,12 +488,12 @@ void SetAssocCache::reset_stats() {
       // written back and prefetched/heated lines still earn coverage
       // hits, so the conservation bounds must start from what is already
       // in the cache, not from zero.
-      for (const Meta m : meta_) {
-        if (!way_live(m)) continue;
+      for_each_meta([&](Meta m) {
+        if (!way_live(m)) return;
         if (is_dirty(m)) ++audit_dirty_marks_;
         if (reason_of(m) == FillReason::kPrefetch) ++audit_prefetch_base_;
         if (reason_of(m) == FillReason::kHeater) ++audit_heater_base_;
-      })
+      });)
 }
 
 #if SEMPERM_AUDIT
@@ -381,6 +515,11 @@ void SetAssocCache::audit_set(std::size_t set_idx) const {
                                 << " LRU stack is not a permutation: line "
                                 << tags[i] << " appears twice");
   }
+  SEMPERM_AUDIT_CHECK(is_grown(set_idx) || normal_ways <= ungrown_bound_,
+                      name_ << " set " << set_idx << " is not marked grown "
+                            << "but holds " << normal_ways
+                            << " live normal lines, above the ungrown bound "
+                            << ungrown_bound_);
   if (reserved_ways_ > 0) {
     SEMPERM_AUDIT_CHECK(network_ways <= reserved_ways_,
                         name_ << " set " << set_idx << " holds "
@@ -442,17 +581,25 @@ void SetAssocCache::audit() const {
   audit_stats();
   SEMPERM_AUDIT_CHECK(resident_lines() <= set_count_ * assoc_,
                       name_ << " resident lines exceed capacity");
+  std::size_t dirty = 0;
+  for_each_meta([&](Meta m) {
+    if (way_live(m) && is_dirty(m)) ++dirty;
+  });
+  SEMPERM_AUDIT_CHECK(dirty == dirty_ways_,
+                      name_ << " dirty-way count " << dirty_ways_
+                            << " disagrees with metadata recount " << dirty
+                            << " (flush would write back the wrong number)");
 #if SEMPERM_TRACE
   // Residency-attribution conservation (DESIGN.md §16): the maintained
   // per-owner counters must equal a fresh recount of the metadata owner
   // fields, and their sum must equal the resident-line total.
   std::array<std::uint64_t, obs::kMaxOwners> recount{};
   std::uint64_t live = 0;
-  for (const Meta m : meta_)
-    if (way_live(m)) {
-      ++recount[owner_of(m)];
-      ++live;
-    }
+  for_each_meta([&](Meta m) {
+    if (!way_live(m)) return;
+    ++recount[owner_of(m)];
+    ++live;
+  });
   std::uint64_t owner_sum = 0;
   for (unsigned id = 0; id < obs::kMaxOwners; ++id) {
     SEMPERM_AUDIT_CHECK(
@@ -494,6 +641,11 @@ void SetAssocCache::audit_corrupt_lru_for_test(Addr line) {
   SEMPERM_ASSERT_MSG(target != mru, "cannot corrupt a 1-way set");
   tags[target] = tags[mru];
   meta[target] = meta[mru];
+}
+
+void SetAssocCache::audit_clear_grown_for_test(Addr line) {
+  const std::size_t s = set_index(line);
+  grown_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
 }
 
 #else

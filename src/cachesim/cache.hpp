@@ -7,22 +7,31 @@
 // prefetch so the hierarchy can attribute "prefetch covered this demand
 // access" statistics (the mechanism behind the paper's Fig. 4/5 analysis).
 //
-// Storage is a flat structure-of-arrays (DESIGN.md §10): one contiguous
-// tag array plus one packed 64-bit metadata word per way, both indexed
-// [set * assoc + way]. Each set's block is kept in LRU order (way 0 = MRU)
-// by rotating POD words, so the per-access cost is a short contiguous tag
-// scan plus at most one memmove — no per-access allocation, no erase_if.
-// flush() is an O(1) epoch bump; ways from flushed epochs are treated as
-// holes by every scan (the single `way_live` predicate) and their slots
-// are reclaimed lazily by later fills.
+// Storage is flat (DESIGN.md §10): one block per cache holds, for each
+// set, its `assoc` tags followed by its `assoc` packed 64-bit metadata
+// words, and after the last set one "grown" bit per set. Each set is kept in
+// LRU order (way 0 = MRU) by rotating POD words, so the per-access cost is
+// a short contiguous tag scan plus at most one memmove — no per-access
+// allocation, no erase_if.
+//
+// Whole-cache operations cost only what changed since the last one:
+//  * flush() is O(1): a running count of live dirty ways pays its
+//    writebacks, and an epoch bump retires every way. Ways from flushed
+//    epochs are holes to every scan (the single `way_live` predicate) and
+//    later fills reclaim them lazily.
+//  * pollute() trims only the sets marked grown since the last pollute
+//    whenever a bound on every unmarked set proves the others lose nothing.
+//  * a destroyed cache hands its block and epoch to a pool; the next cache
+//    of the same geometry starts one epoch later, so every recycled way is
+//    already a hole and only the grown bits need clearing.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "check/audit.hpp"
 #include "common/addr_source.hpp"
@@ -93,8 +102,18 @@ inline std::uint64_t fastmod64(std::uint64_t n, std::uint64_t d,
 class SetAssocCache {
  public:
   /// `size_bytes` total capacity, `assoc` ways. size must be a multiple of
-  /// assoc * 64; any set count (power-of-two or sliced) is accepted.
+  /// assoc * 64; any set count (power-of-two or sliced) is accepted. The
+  /// cache starts empty, on recycled storage when a cache of the same
+  /// geometry was destroyed earlier.
   SetAssocCache(std::string name, std::size_t size_bytes, unsigned assoc);
+  /// Hands the storage block to the pool of its geometry.
+  ~SetAssocCache();
+  // Containers relocate caches (Hierarchy::levels_): moves carry the block;
+  // a move-assigned cache frees its old block instead of pooling it.
+  SetAssocCache(SetAssocCache&&) noexcept = default;
+  SetAssocCache& operator=(SetAssocCache&&) noexcept = default;
+  SetAssocCache(const SetAssocCache&) = delete;
+  SetAssocCache& operator=(const SetAssocCache&) = delete;
 
   /// Demand access to `line` (a cache-line index, not a byte address).
   /// Returns true on hit. On hit the line becomes most-recently-used and
@@ -174,10 +193,10 @@ class SetAssocCache {
                                       LineClass cls = LineClass::kNormal,
                                       bool dirty = false);
 
-  /// contains() + fill() fused into one set walk: returns true if the line
-  /// was already resident before the (LRU-refreshing) fill. Statistics are
-  /// identical to the unfused pair; heater streams use this to count cold
-  /// lines without probing the set twice.
+  /// contains() + fill() fused into one set probe: returns true if the
+  /// line was already resident before the (LRU-refreshing) fill.
+  /// Statistics are identical to the unfused pair; heater streams use this
+  /// to count cold lines without probing the set twice.
   bool touch_fill(Addr line, FillReason reason,
                   LineClass cls = LineClass::kNormal);
 
@@ -213,8 +232,9 @@ class SetAssocCache {
   void invalidate(Addr line);
 
   /// Drop everything (the paper's modified micro-benchmarks clear the cache
-  /// between iterations to emulate a compute phase, §4.1). O(1): bumps an
-  /// epoch; stale ways become holes that later fills reclaim.
+  /// between iterations to emulate a compute phase, §4.1). O(1): the
+  /// running dirty-way count becomes writebacks and the epoch bump turns
+  /// every way into a hole that later fills reclaim.
   void flush();
 
   /// Model a compute phase streaming `bytes` of unrelated data through the
@@ -222,7 +242,9 @@ class SetAssocCache {
   /// displace, keeping the MRU remainder. A working set >= the cache size
   /// degenerates to flush(). This is what lets a large LLC retain match
   /// state across compute phases ("semi-permanent occupancy") while a
-  /// smaller one loses it.
+  /// smaller one loses it. Exact and eager, but it visits only the sets
+  /// that gained a normal line since the last pollute whenever the bound
+  /// on the others proves they keep everything; otherwise every set.
   void pollute(std::size_t bytes);
 
   const CacheStats& stats() const { return stats_; }
@@ -243,6 +265,9 @@ class SetAssocCache {
   /// Test seam: duplicate the MRU way of `line`'s set so the LRU stack is
   /// no longer a permutation; the next audit of that set must throw.
   void audit_corrupt_lru_for_test(Addr line);
+  /// Test seam: clear the grown bit of `line`'s set, as if a fill had
+  /// forgotten to mark it; the next audit of that set must throw.
+  void audit_clear_grown_for_test(Addr line);
 #endif
 
   const std::string& name() const { return name_; }
@@ -385,6 +410,12 @@ class SetAssocCache {
     meta[0] = m;
   }
 
+  /// fill_line() with one probe of the set; `resident` reports whether the
+  /// line was live before the fill (touch_fill's answer).
+  std::optional<EvictedWay> probe_fill(Addr line, FillReason reason,
+                                       LineClass cls, bool dirty,
+                                       bool& resident);
+
   /// Miss-path insertion shared by fill_line / fill_line_if_absent: counts
   /// the fill, picks the hole (stale way or evicted victim), moves the new
   /// line to the MRU slot. The caller has already established the line is
@@ -393,17 +424,39 @@ class SetAssocCache {
                                         Addr line, FillReason reason,
                                         LineClass cls, bool dirty);
 
-  Addr* set_tags(std::size_t set) { return tags_.data() + set * assoc_; }
+  /// pollute()'s per-set displacement: drop the LRU-most normal lines the
+  /// stream of `per_set` lines pushes past `normal_capacity`.
+  void trim_set(std::size_t s, std::size_t per_set,
+                std::size_t normal_capacity);
+
+  Addr* set_tags(std::size_t set) { return block_.get() + set * 2 * assoc_; }
   const Addr* set_tags(std::size_t set) const {
-    return tags_.data() + set * assoc_;
+    return block_.get() + set * 2 * assoc_;
   }
-  Meta* set_meta(std::size_t set) { return meta_.data() + set * assoc_; }
-  const Meta* set_meta(std::size_t set) const {
-    return meta_.data() + set * assoc_;
+  Meta* set_meta(std::size_t set) { return set_tags(set) + assoc_; }
+  const Meta* set_meta(std::size_t set) const { return set_tags(set) + assoc_; }
+
+  /// Visit every way's metadata word (the whole-cache recounts).
+  template <class F>
+  void for_each_meta(F&& f) const {
+    for (std::size_t s = 0; s < set_count_; ++s) {
+      const Meta* meta = set_meta(s);
+      for (std::size_t i = 0; i < assoc_; ++i) f(meta[i]);
+    }
+  }
+
+  /// Words of grown bits after the set blocks: one bit per set.
+  std::size_t grown_words() const { return (set_count_ + 63) / 64; }
+  void mark_grown(std::size_t s) {
+    grown_[s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+  bool is_grown(std::size_t s) const {
+    return (grown_[s / 64] >> (s % 64)) & 1;
   }
 
 #if SEMPERM_AUDIT
-  /// Audit one set: O(assoc²) duplicate scan + quota checks over live ways.
+  /// Audit one set: O(assoc²) duplicate scan + quota checks over live ways,
+  /// and the ungrown bound if the set is not marked grown.
   void audit_set(std::size_t set_idx) const;
   /// O(1) counter conservation + monotonicity checks.
   void audit_stats() const;
@@ -417,8 +470,18 @@ class SetAssocCache {
   unsigned __int128 fastmod_magic_ = 0;  // nonzero selects the fastmod path
   std::uint64_t epoch_ = 0;
   unsigned reserved_ways_ = 0;
-  std::vector<Addr> tags_;  // [set * assoc + way]
-  std::vector<Meta> meta_;  // [set * assoc + way], parallel to tags_
+  // The storage block: set s holds its tags at [2 * s * assoc, + assoc)
+  // and its metadata words right after; the grown bits follow the last
+  // set. Pooled by geometry when the cache is destroyed (cache.cpp).
+  std::unique_ptr<std::uint64_t[]> block_;
+  // Bit s: set s gained a live normal line (a normal miss fill, or a
+  // refill turning a network line normal) since the last pollute.
+  std::uint64_t* grown_ = nullptr;
+  // Every set whose grown bit is clear holds at most this many live
+  // normal lines (the bound B of DESIGN.md §10.1).
+  std::size_t ungrown_bound_ = 0;
+  // Live dirty ways: exactly the writebacks a flush() owes.
+  std::size_t dirty_ways_ = 0;
   CacheStats stats_;
   // Audit-only shadow counters (mutable: audits run from const context).
   // audit_accesses_ counts access() calls; audit_fill_calls_ counts

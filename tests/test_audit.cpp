@@ -100,6 +100,18 @@ TEST(SeededViolation, CacheLruDuplicateDetected) {
   EXPECT_NE(msg.find("not a permutation"), std::string::npos) << msg;
 }
 
+TEST(SeededViolation, CacheGrownMarkMissingDetected) {
+  SetAssocCache cache("T", 2048, 4);  // 8 sets x 4 ways
+  cache.fill(/*line=*/13, FillReason::kDemand);  // set 5 gains a line
+  EXPECT_NO_THROW(cache.audit());
+
+  // Forget the mark: set 5 now exceeds the ungrown bound (0 on a new
+  // cache), so a pollute trimming only grown sets would skip it.
+  cache.audit_clear_grown_for_test(/*line=*/13);
+  const std::string msg = audit_error_of([&] { cache.audit(); });
+  EXPECT_NE(msg.find("set 5 is not marked grown"), std::string::npos) << msg;
+}
+
 TEST(SeededViolation, MesiTwoOwnerMixDetected) {
   CoherentHierarchy h(sandy_bridge(), 2);
   const Addr line = 0x1000;

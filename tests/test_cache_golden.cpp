@@ -4,8 +4,10 @@
 // (tests/reference_cache.hpp) and require *bit-identical* behaviour —
 // every return value, every statistics counter, every eviction decision,
 // and the final resident set with its dirty bits. The SoA layout, the lazy
-// stale-epoch filtering, and the fastmod set indexing are all supposed to
-// be pure representation changes; this test is what pins that down.
+// stale-epoch filtering, the fastmod set indexing, the running dirty-way
+// count behind flush(), the grown-set walk of pollute() and the recycled
+// storage blocks are all supposed to be pure representation changes; this
+// test is what pins that down.
 
 #include <gtest/gtest.h>
 
@@ -60,9 +62,35 @@ FillReason draw_reason(Rng& rng) {
   return FillReason::kHeater;
 }
 
-void replay_trace(const GoldenConfig& cfg, std::uint64_t seed) {
+// Build a cache of `size_bytes` and `assoc` ways, leave it holding live
+// dirty, network and heater lines over stale ways of an earlier epoch, and
+// destroy it: the next cache of the same geometry is built on its block.
+// On a freshly allocated block the live lines [512, 512 + ways / 2) sit at
+// epoch 1, so a cache of another shape handed that block would read their
+// tags as live epoch-2 metadata.
+void retire_cache(std::size_t size_bytes, unsigned assoc) {
+  SetAssocCache old("old", size_bytes, assoc);
+  const Addr ways = static_cast<Addr>(old.set_count() * assoc);
+  for (Addr l = 0; l < ways; ++l)  // epoch 0, retired by the flush
+    old.fill_line(1024 + l, FillReason::kDemand, LineClass::kNormal,
+                  l % 2 == 1);
+  old.flush();
+  for (Addr l = 0; l < ways / 2; ++l)
+    old.fill_line(512 + l, l % 3 ? FillReason::kDemand : FillReason::kHeater,
+                  l % 4 ? LineClass::kNormal : LineClass::kNetwork,
+                  l % 2 == 1);
+  ASSERT_EQ(old.resident_lines(), ways / 2);
+}
+
+// Replay one random trace through both caches. With `predecessor_assoc`
+// set, the cache under test is built on the storage block of a retired
+// cache of that associativity (and the same size), and must start empty.
+void replay_trace(const GoldenConfig& cfg, std::uint64_t seed,
+                  unsigned predecessor_assoc = 0) {
+  if (predecessor_assoc > 0) retire_cache(cfg.size_bytes, predecessor_assoc);
   SetAssocCache soa("soa", cfg.size_bytes, cfg.assoc);
   ReferenceSetAssocCache ref("ref", cfg.size_bytes, cfg.assoc);
+  ASSERT_EQ(soa.resident_lines(), 0u) << cfg.name << " did not start empty";
   if (cfg.reserved_ways > 0) {
     soa.set_partition(cfg.reserved_ways);
     ref.set_partition(cfg.reserved_ways);
@@ -75,6 +103,12 @@ void replay_trace(const GoldenConfig& cfg, std::uint64_t seed) {
   const Addr base = rng.below(Addr{1} << 40);
   const Addr span = static_cast<Addr>(2 * capacity);
   const auto draw_line = [&] { return base + rng.below(span); };
+  // Compute phases mostly repeat a few per-set stream sizes p, so pollute
+  // alternates between its grown-sets-only walk (p no larger than the one
+  // before) and its full walk (a larger p).
+  const std::size_t normal_capacity = cfg.assoc - cfg.reserved_ways;
+  const std::size_t repeated_per_set[] = {1, normal_capacity / 2,
+                                          normal_capacity - 1};
 
   constexpr std::size_t kOps = 3000;
   for (std::size_t op = 0; op < kOps; ++op) {
@@ -84,9 +118,15 @@ void replay_trace(const GoldenConfig& cfg, std::uint64_t seed) {
     // Per-op randomness here would re-fill resident lines under a flipped
     // class, bypassing partitioned victim selection and (correctly)
     // tripping the quota audit in Debug.
-    const LineClass cls = (line * 0x9e3779b97f4a7c15ULL >> 60) < 5
-                              ? LineClass::kNetwork
-                              : LineClass::kNormal;
+    LineClass cls = (line * 0x9e3779b97f4a7c15ULL >> 60) < 5
+                        ? LineClass::kNetwork
+                        : LineClass::kNormal;
+    // Unpartitioned caches have no quota to break: there, a refill may
+    // flip a resident line's class (a network line turned normal grows its
+    // set's normal count just as a miss fill does).
+    if (cfg.reserved_ways == 0 && rng.below(4) == 0)
+      cls = cls == LineClass::kNetwork ? LineClass::kNormal
+                                       : LineClass::kNetwork;
     const std::uint64_t pick = rng.below(100);
     if (pick < 40) {  // demand access
       EXPECT_EQ(soa.access(line), ref.access(line))
@@ -126,7 +166,9 @@ void replay_trace(const GoldenConfig& cfg, std::uint64_t seed) {
       ref.invalidate(line);
     } else if (pick < 96) {  // compute-phase displacement
       const std::size_t bytes =
-          static_cast<std::size_t>(rng.below(2 * cfg.size_bytes));
+          rng.below(4) == 0
+              ? static_cast<std::size_t>(rng.below(2 * cfg.size_bytes))
+              : repeated_per_set[rng.below(3)] * soa.set_count() * kCacheLine;
       soa.pollute(bytes);
       ref.pollute(bytes);
     } else if (pick < 98) {  // full clear (O(1) epoch bump vs eager purge)
@@ -166,9 +208,11 @@ void replay_trace(const GoldenConfig& cfg, std::uint64_t seed) {
 }
 
 TEST(CacheGolden, BitIdenticalToReferenceOverRandomTraces) {
-  // >= 100 traces: 4 configurations x 26 seeds.
+  // 400 traces: 4 configurations x 100 seeds. A class flip that grows an
+  // unmarked set right before a grown-sets-only pollute is a rare event;
+  // this many traces catch a missing grown mark in over a dozen of them.
   for (const GoldenConfig& cfg : kConfigs) {
-    for (std::uint64_t seed = 1; seed <= 26; ++seed) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
       replay_trace(cfg, seed * 0x9e3779b97f4a7c15ULL + cfg.assoc);
       if (::testing::Test::HasFailure()) {
         FAIL() << "divergence in config " << cfg.name << " seed-index "
@@ -176,6 +220,29 @@ TEST(CacheGolden, BitIdenticalToReferenceOverRandomTraces) {
       }
     }
   }
+}
+
+// Recycled storage: every geometry replays on the block of a retired cache
+// of the same geometry that still held live dirty and network lines.
+TEST(CacheGolden, BitIdenticalOnRecycledStorage) {
+  for (const GoldenConfig& cfg : kConfigs) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      replay_trace(cfg, seed * 0xd1b54a32d192ed03ULL + cfg.assoc, cfg.assoc);
+      if (::testing::Test::HasFailure())
+        FAIL() << "divergence in config " << cfg.name << " seed-index "
+               << seed;
+    }
+  }
+}
+
+// 32 KiB 8-way and 32 KiB 16-way blocks have the same size but not the
+// same shape: a cache of one must never start on the block of the other.
+// Run as its own process (ctest runs every case so), the retired 8-way
+// cache is freshly allocated, so its live tags [512, 768) read as live
+// epoch-2 metadata to a 16-way cache handed its block.
+TEST(CacheGolden, SameSizeOtherShapeStartsEmpty) {
+  const GoldenConfig l1_16way{"32k_16way", 32 * 1024, 16, 0};
+  replay_trace(l1_16way, 0x5eed, /*predecessor_assoc=*/8);
 }
 
 // The fastmod set indexing must be exact — bit-identical to `%` — or the
