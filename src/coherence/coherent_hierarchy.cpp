@@ -60,75 +60,65 @@ CoherentHierarchy::CoherentHierarchy(const ArchProfile& arch, unsigned cores)
   }
 }
 
-std::uint64_t CoherentHierarchy::remote_sharers(unsigned core,
-                                                Addr line) const {
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) return 0;
-  return it->second.sharers & ~bit(core);
-}
-
-int CoherentHierarchy::remote_modified(unsigned core, Addr line) const {
-  // The directory carries the unique Modified holder (at most one exists
-  // under MESI), so this is one probe rather than a per-core state walk.
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) return -1;
-  const int owner = it->second.owner;
-  return (owner >= 0 && owner != static_cast<int>(core)) ? owner : -1;
-}
-
-void CoherentHierarchy::set_state(unsigned core, Addr line, MesiState st) {
+void CoherentHierarchy::set_state(DirIt it, unsigned core, MesiState st) {
+  DirEntry& e = it->second;
+  SEMPERM_AUDIT_CHECK(st != MesiState::kInvalid,
+                      "set_state(I) for line " << it->first
+                                               << ": use drop_sharer");
 #if SEMPERM_AUDIT
-  check::require_mesi_transition(state(core, line), st, core, line);
+  check::require_mesi_transition(e.state_of(core), st, core, it->first);
 #endif
   SEMPERM_TRACE_ONLY(
       if (semperm::obs::trace_on()) {
-        const MesiState from = state(core, line);
+        const MesiState from = e.state_of(core);
         if (from != st)
           SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
-                                mesi_transition_name(from, st), 0, line,
+                                mesi_transition_name(from, st), 0, it->first,
                                 static_cast<double>(core));
       })
   SEMPERM_PROF_COUNT(kMesiTransition);
-  cores_[core].state[line] = st;
-  DirEntry& e = directory_[line];
   e.sharers |= bit(core);
-  if (st == MesiState::kModified)
+  if (st != MesiState::kShared) {
     e.owner = static_cast<int>(core);
-  else if (e.owner == static_cast<int>(core))
+    e.modified = st == MesiState::kModified;
+  } else if (e.owner == static_cast<int>(core)) {
     e.owner = -1;
-}
-
-void CoherentHierarchy::drop_sharer(unsigned core, Addr line) {
-  SEMPERM_TRACE_ONLY(
-      if (semperm::obs::trace_on()) {
-        const MesiState from = state(core, line);
-        if (from != MesiState::kInvalid)
-          SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
-                                mesi_transition_name(from, MesiState::kInvalid),
-                                0, line, static_cast<double>(core));
-      })
-  SEMPERM_PROF_COUNT(kMesiTransition);
-  cores_[core].state.erase(line);
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) return;
-  it->second.sharers &= ~bit(core);
-  if (it->second.owner == static_cast<int>(core)) it->second.owner = -1;
-  if (it->second.sharers == 0) {
-    directory_.erase(it);
-    // No private copy remains, so the line can no longer be an inclusion
-    // exemption.
-    SEMPERM_AUDIT_ONLY(audit_noninclusive_.erase(line);)
+    e.modified = false;
   }
 }
 
-void CoherentHierarchy::invalidate_remotes(unsigned core, Addr line) {
-  std::uint64_t rem = remote_sharers(core, line);
+void CoherentHierarchy::drop_sharer(DirIt it, unsigned core) {
+  DirEntry& e = it->second;
+  SEMPERM_TRACE_ONLY(
+      if (semperm::obs::trace_on()) {
+        const MesiState from = e.state_of(core);
+        if (from != MesiState::kInvalid)
+          SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
+                                mesi_transition_name(from, MesiState::kInvalid),
+                                0, it->first, static_cast<double>(core));
+      })
+  SEMPERM_PROF_COUNT(kMesiTransition);
+  e.sharers &= ~bit(core);
+  if (e.owner == static_cast<int>(core)) {
+    e.owner = -1;
+    e.modified = false;
+  }
+  if (e.sharers == 0) {
+    // No private copy remains, so the line can no longer be an inclusion
+    // exemption.
+    SEMPERM_AUDIT_ONLY(audit_noninclusive_.erase(it->first);)
+    directory_.erase(it);
+  }
+}
+
+void CoherentHierarchy::invalidate_remotes(DirIt it, unsigned core) {
+  const Addr line = it->first;
+  std::uint64_t rem = it->second.sharers & ~bit(core);
+  const int dirty = it->second.dirty_owner();
   while (rem != 0) {
     const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
     rem &= rem - 1;
-    const auto it = cores_[c].state.find(line);
-    if (it != cores_[c].state.end() &&
-        it->second == MesiState::kModified) {
+    if (static_cast<int>(c) == dirty) {
       // Write the dirty data back into the shared level before dropping.
       ++coh_.dirty_writebacks;
       SEMPERM_PROF_COUNT(kWriteback);
@@ -136,7 +126,7 @@ void CoherentHierarchy::invalidate_remotes(unsigned core, Addr line) {
     }
     cores_[c].l1.invalidate(line);
     cores_[c].l2.invalidate(line);
-    drop_sharer(c, line);
+    drop_sharer(it, c);  // the last remote out may erase the entry
     ++coh_.invalidations;
   }
 }
@@ -144,8 +134,11 @@ void CoherentHierarchy::invalidate_remotes(unsigned core, Addr line) {
 void CoherentHierarchy::private_line_gone(unsigned core, Addr line) {
   // The victim's data fate (writeback or silent drop) travels with the
   // per-way dirty bits, exactly as in the single-core model; leaving the
-  // private stack is a local event that just clears the sharer bit.
-  drop_sharer(core, line);
+  // private stack is a local event that just clears the sharer bit. A
+  // private copy always carries its sharer bit, so the entry exists.
+  const auto it = directory_.find(line);
+  SEMPERM_ASSERT(it != directory_.end());
+  drop_sharer(it, core);
 }
 
 void CoherentHierarchy::on_private_evict(unsigned core, unsigned level,
@@ -179,17 +172,17 @@ void CoherentHierarchy::on_llc_evict(const SetAssocCache::EvictedWay& ev) {
   const auto it = directory_.find(ev.line);
   if (it == directory_.end()) return;
   std::uint64_t sharers = it->second.sharers;
+  const int dirty = it->second.dirty_owner();
   while (sharers != 0) {
     const unsigned c = static_cast<unsigned>(std::countr_zero(sharers));
     sharers &= sharers - 1;
-    const auto st = cores_[c].state.find(ev.line);
-    if (st != cores_[c].state.end() && st->second == MesiState::kModified) {
+    if (static_cast<int>(c) == dirty) {
       ++coh_.dirty_writebacks;  // drains to DRAM; LLC copy is already gone
       SEMPERM_PROF_COUNT(kWriteback);
     }
     cores_[c].l1.invalidate(ev.line);
     cores_[c].l2.invalidate(ev.line);
-    drop_sharer(c, ev.line);
+    drop_sharer(it, c);  // the last sharer out erases the entry
     ++coh_.back_invalidations;
     SEMPERM_PROF_COUNT(kBackInvalidate);
     SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
@@ -240,33 +233,41 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
   }
 
   if (serving <= 1) {
-    // Private hit. Reads proceed in any state; a write to a Shared copy
-    // needs ownership (upgrade): snoop out and invalidate the other copies.
+    // Private hit. Reads proceed in any state and never consult the
+    // directory; a write probes it once. A write to a Shared copy needs
+    // ownership (upgrade): snoop out and invalidate the other copies.
     if (write) {
-      if (state(core, line) == MesiState::kShared) {
+      const auto it = directory_.find_or_insert(line);
+      if (it->second.state_of(core) == MesiState::kShared) {
         ++coh_.snoops;
         ++coh_.upgrades;
         SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence, "upgrade", 0,
                               line, static_cast<double>(core));
         cost += arch_.snoop_latency;
         SEMPERM_PROF_ADD(kUpgradeSnoop, arch_.snoop_latency);
-        invalidate_remotes(core, line);
+        invalidate_remotes(it, core);
       }
-      set_state(core, line, MesiState::kModified);
+      set_state(it, core, MesiState::kModified);
     }
   } else {
-    // Private miss: the directory arbitrates before the shared level does.
-    // One probe yields both answers (remote_modified + remote_sharers
-    // would each walk the same entry).
-    int owner = -1;
-    std::uint64_t remotes = 0;
+    // Private miss: one directory probe arbitrates before the shared level
+    // does. The entry answers both questions — who else holds a copy, and
+    // whether one of them owns it (a remote E or M copy can only be the
+    // owner). The remote transitions below use the probed entry, so each
+    // runs before any fill that could move it.
     SEMPERM_PROF_COUNT(kDirLookup);
-    if (const auto dit = directory_.find(line); dit != directory_.end()) {
-      remotes = dit->second.sharers & ~bit(core);
-      const int o = dit->second.owner;
-      if (o >= 0 && o != static_cast<int>(core)) owner = o;
+    const auto it = directory_.find(line);
+    std::uint64_t remotes = 0;
+    int owner = -1;  // the remote E-or-M holder
+    int dirty = -1;  // the remote M holder
+    if (it != directory_.end()) {
+      remotes = it->second.sharers & ~bit(core);
+      if (it->second.owner != static_cast<int>(core)) {
+        owner = it->second.owner;
+        dirty = it->second.dirty_owner();
+      }
     }
-    if (owner >= 0) {
+    if (dirty >= 0) {
       // Cache-to-cache intervention out of a remote Modified copy. The
       // owner writes back into the shared level and downgrades (M→S on a
       // read, M→I on a write).
@@ -274,45 +275,39 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
       ++coh_.interventions;
       ++coh_.dirty_writebacks;
       SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence, "intervention",
-                            0, line, static_cast<double>(owner));
+                            0, line, static_cast<double>(dirty));
       cost = arch_.intervention_latency;
       SEMPERM_PROF_ADD(kIntervention, cost);
       SEMPERM_PROF_COUNT(kWriteback);
-      llc_fill(line, FillReason::kDemand, /*dirty=*/true);
+      const unsigned o = static_cast<unsigned>(dirty);
       if (write) {
-        cores_[owner].l1.invalidate(line);
-        cores_[owner].l2.invalidate(line);
-        drop_sharer(static_cast<unsigned>(owner), line);
+        cores_[o].l1.invalidate(line);
+        cores_[o].l2.invalidate(line);
+        drop_sharer(it, o);
         ++coh_.invalidations;
       } else {
-        set_state(static_cast<unsigned>(owner), line, MesiState::kShared);
+        set_state(it, o, MesiState::kShared);
       }
+      llc_fill(line, FillReason::kDemand, /*dirty=*/true);
     } else if (llc_ && llc_->access(line)) {
       serving = 2;
       cost = llc_latency_;
       SEMPERM_PROF_ADD(kLlcProbe, llc_latency_);
-      if (remotes != 0) {
-        if (write) {
+      if (write) {
+        if (remotes != 0) {
           ++coh_.snoops;
           cost += arch_.snoop_latency;
           SEMPERM_PROF_ADD(kWriteInvalidate, arch_.snoop_latency);
-          invalidate_remotes(core, line);
-        } else {
-          // A remote Exclusive copy must observe the read and downgrade;
-          // Shared copies need no action (directory filters the snoop).
-          std::uint64_t rem = remotes;
-          while (rem != 0) {
-            const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
-            rem &= rem - 1;
-            if (state(c, line) == MesiState::kExclusive) {
-              set_state(c, line, MesiState::kShared);
-              ++coh_.snoops;
-              ++coh_.clean_downgrades;
-              cost += arch_.snoop_latency;
-              SEMPERM_PROF_ADD(kCleanDowngrade, arch_.snoop_latency);
-            }
-          }
+          invalidate_remotes(it, core);
         }
+      } else if (owner >= 0) {
+        // A remote Exclusive copy must observe the read and downgrade;
+        // Shared copies need no action (directory filters the snoop).
+        set_state(it, static_cast<unsigned>(owner), MesiState::kShared);
+        ++coh_.snoops;
+        ++coh_.clean_downgrades;
+        cost += arch_.snoop_latency;
+        SEMPERM_PROF_ADD(kCleanDowngrade, arch_.snoop_latency);
       }
     } else if (remotes != 0) {
       // Remote clean copy not served by a shared level: always the case on
@@ -323,17 +318,10 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
       cost = arch_.intervention_latency;
       SEMPERM_PROF_ADD(kRemoteForward, cost);
       if (write) {
-        invalidate_remotes(core, line);
-      } else {
-        std::uint64_t rem = remotes;
-        while (rem != 0) {
-          const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
-          rem &= rem - 1;
-          if (state(c, line) == MesiState::kExclusive) {
-            set_state(c, line, MesiState::kShared);
-            ++coh_.clean_downgrades;
-          }
-        }
+        invalidate_remotes(it, core);
+      } else if (owner >= 0) {
+        set_state(it, static_cast<unsigned>(owner), MesiState::kShared);
+        ++coh_.clean_downgrades;
       }
       if (llc_) llc_fill(line, FillReason::kDemand, /*dirty=*/false);
     } else {
@@ -361,16 +349,16 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
     }
   }
 
-  // MESI state after the access.
+  // MESI state after the access. The fills may have moved or erased
+  // entries, so the directory is probed afresh; remote copies were
+  // invalidated above on every write path.
   if (serving > 1) {
-    if (write) {
-      set_state(core, line, MesiState::kModified);
-      // remote copies were invalidated above on every write path
-    } else {
-      const bool shared = remote_sharers(core, line) != 0;
-      set_state(core, line, shared ? MesiState::kShared
-                                   : MesiState::kExclusive);
-    }
+    const auto it = directory_.find_or_insert(line);
+    const bool shared = (it->second.sharers & ~bit(core)) != 0;
+    set_state(it, core,
+              write    ? MesiState::kModified
+              : shared ? MesiState::kShared
+                       : MesiState::kExclusive);
   }
   if (write) {
     // Write-back: record the store at the level closest to the core.
@@ -379,7 +367,7 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
 
   // Before the prefetchers run (they may legitimately evict the accessed
   // line again), the line is resident in L1 and must carry MESI state.
-  SEMPERM_AUDIT_CHECK(cs.state.find(line) != cs.state.end(),
+  SEMPERM_AUDIT_CHECK(state(core, line) != MesiState::kInvalid,
                       "core " << core << " finished an access to line " << line
                               << " without MESI state");
   run_prefetchers(core, obs);
@@ -405,8 +393,7 @@ void CoherentHierarchy::prefetch_fill(unsigned core,
   // A prefetch that snoop-hits another core's copy is squashed (hardware
   // prefetchers do not trigger interventions). With one core this path is
   // identical to the single-core Hierarchy's. One directory probe answers
-  // both questions: the audit pins bitmap == per-core state maps, so
-  // bit(core) doubles as "this core already holds private MESI state".
+  // both questions: bit(core) is "this core already holds a private copy".
   std::uint64_t sharers = 0;
   if (const auto dit = directory_.find(req.line); dit != directory_.end())
     sharers = dit->second.sharers;
@@ -438,7 +425,8 @@ void CoherentHierarchy::prefetch_fill(unsigned core,
   // A line pulled into a private level arrives Exclusive (nobody else
   // holds it — we squashed otherwise); an existing private state stands.
   if (target <= 1 && !was_private)
-    set_state(core, req.line, MesiState::kExclusive);
+    set_state(directory_.find_or_insert(req.line), core,
+              MesiState::kExclusive);
 
   // The L1 next-line prefetcher fills L1+L2 without touching the LLC — the
   // documented inclusion leak. Record the exemption so the inclusion audit
@@ -456,8 +444,9 @@ CoherentHierarchy::HeaterTouch CoherentHierarchy::heater_touch_line(
   CoreStack& cs = cores_[core];
   ++cs.stats.lines_touched;
   HeaterTouch t;
-  const int owner = remote_modified(core, line);
-  if (owner >= 0) {
+  const auto it = directory_.find(line);
+  const int owner = it == directory_.end() ? -1 : it->second.dirty_owner();
+  if (owner >= 0 && owner != static_cast<int>(core)) {
     // The application holds the line Modified: the heater's read forces a
     // writeback and an M→S downgrade, but the line stays warm.
     ++coh_.snoops;
@@ -466,7 +455,7 @@ CoherentHierarchy::HeaterTouch CoherentHierarchy::heater_touch_line(
     SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence, "intervention",
                           0, line, static_cast<double>(owner));
     SEMPERM_PROF_COUNT(kWriteback);
-    set_state(static_cast<unsigned>(owner), line, MesiState::kShared);
+    set_state(it, static_cast<unsigned>(owner), MesiState::kShared);
     t.cycles = arch_.intervention_latency;
     llc_fill(line, FillReason::kHeater, /*dirty=*/true);
   } else if (llc_->contains(line)) {
@@ -489,24 +478,24 @@ void CoherentHierarchy::pollute(unsigned core, std::size_t bytes) {
   SEMPERM_ASSERT(core < cores());
   CoreStack& cs = cores_[core];
   // The polluting core's private stack is wrecked outright. The flush of
-  // its L1/L2 below counts the dirty-way writebacks, mirroring the
-  // single-core pollute(); clearing the state map is a local event, not
-  // protocol traffic.
-  std::vector<Addr> mine;
-  mine.reserve(cs.state.size());
-  for (const auto& [line, st] : cs.state) mine.push_back(line);
-  for (Addr line : mine) drop_sharer(core, line);
+  // its L1/L2 counts the dirty-way writebacks, mirroring the single-core
+  // pollute(); dropping its sharer bits is a local event, not protocol
+  // traffic.
   cs.l1.flush();
   cs.l2.flush();
   cs.streamer.reset();
-  if (!llc_) return;
-  llc_->pollute(bytes);
-  // Repair inclusion: private lines (any core) whose LLC copy was
-  // displaced by the stream are back-invalidated.
-  std::vector<Addr> gone;
-  for (const auto& [line, entry] : directory_)
-    if (entry.sharers != 0 && !llc_->contains(line)) gone.push_back(line);
-  for (Addr line : gone)
+  if (llc_) llc_->pollute(bytes);
+  // One directory pass drops the core's bits and collects the lines that
+  // other cores still share but whose LLC copy the stream displaced; those
+  // are back-invalidated after the pass to repair inclusion.
+  pollute_gone_.clear();
+  directory_.for_each_erasable([&](DirIt it) {
+    const Addr line = it->first;
+    const bool others = (it->second.sharers & ~bit(core)) != 0;
+    if ((it->second.sharers & bit(core)) != 0) drop_sharer(it, core);
+    if (others && llc_ && !llc_->contains(line)) pollute_gone_.push_back(line);
+  });
+  for (Addr line : pollute_gone_)
     on_llc_evict(SetAssocCache::EvictedWay{line, false});
   SEMPERM_AUDIT_ONLY(audit();)
 }
@@ -515,20 +504,20 @@ void CoherentHierarchy::flush_all() {
   for (auto& cs : cores_) {
     cs.l1.flush();
     cs.l2.flush();
-    // Wholesale reset of all line state; per-line transitions (all → I) are
-    // trivially legal.
-    cs.state.clear();  // semperm-analyze: allow(audit-mesi-bypass) -- wholesale flush: every per-line transition is -> I, trivially legal without the transition check
     cs.streamer.reset();
   }
   if (llc_) llc_->flush();
+  // Wholesale reset of all line state; per-line transitions (all → I) are
+  // trivially legal.
   directory_.clear();
   SEMPERM_AUDIT_ONLY(audit_noninclusive_.clear();)
 }
 
 MesiState CoherentHierarchy::state(unsigned core, Addr line) const {
-  const auto& st = cores_.at(core).state;
-  const auto it = st.find(line);
-  return it == st.end() ? MesiState::kInvalid : it->second;
+  SEMPERM_ASSERT(core < cores());
+  const auto it = directory_.find(line);
+  return it == directory_.end() ? MesiState::kInvalid
+                                : it->second.state_of(core);
 }
 
 bool CoherentHierarchy::privately_resident(unsigned core, Addr line) const {
@@ -562,54 +551,33 @@ LlcOccupancy CoherentHierarchy::llc_occupancy() const {
 
 #if SEMPERM_AUDIT
 void CoherentHierarchy::audit_line(Addr line) const {
-  const auto dit = directory_.find(line);
-  const std::uint64_t bitmap =
-      dit == directory_.end() ? 0 : dit->second.sharers;
-  SEMPERM_AUDIT_CHECK(dit == directory_.end() || bitmap != 0,
+  const auto it = directory_.find(line);
+  const bool tracked = it != directory_.end();
+  const DirEntry e = tracked ? it->second : DirEntry{};
+  SEMPERM_AUDIT_CHECK(!tracked || e.sharers != 0,
                       "directory entry for line " << line
                           << " has an empty sharer bitmap");
-  std::uint64_t derived = 0;
-  unsigned holders = 0;
-  unsigned owners = 0;
-  int derived_modified = -1;
-  for (unsigned c = 0; c < cores(); ++c) {
-    const auto it = cores_[c].state.find(line);
-    if (it == cores_[c].state.end()) continue;
-    SEMPERM_AUDIT_CHECK(it->second != MesiState::kInvalid,
-                        "core " << c << " stores an explicit Invalid for line "
-                                << line
-                                << " (absence is the only Invalid encoding)");
-    derived |= bit(c);
-    ++holders;
-    if (it->second == MesiState::kModified)
-      derived_modified = static_cast<int>(c);
-    if (it->second == MesiState::kModified ||
-        it->second == MesiState::kExclusive)
-      ++owners;
-    SEMPERM_AUDIT_CHECK(
-        cores_[c].l1.contains(line) || cores_[c].l2.contains(line),
-        "core " << c << " holds MESI state " << to_string(it->second)
-                << " for line " << line << " without a private copy");
-  }
-  SEMPERM_AUDIT_CHECK(derived == bitmap,
-                      "directory sharer bitmap 0x"
-                          << std::hex << bitmap
-                          << " disagrees with per-core states 0x" << derived
-                          << std::dec << " for line " << line);
-  SEMPERM_AUDIT_CHECK(owners <= 1, "line " << line << " has " << owners
-                                           << " Exclusive/Modified owners");
   SEMPERM_AUDIT_CHECK(
-      (dit == directory_.end() ? -1 : dit->second.owner) == derived_modified,
-      "directory Modified-owner " << (dit == directory_.end()
-                                          ? -1
-                                          : dit->second.owner)
-                                  << " disagrees with per-core states ("
-                                  << derived_modified << ") for line " << line);
-  SEMPERM_AUDIT_CHECK(
-      owners == 0 || holders == 1,
-      "line " << line
-              << " mixes an Exclusive/Modified owner with other sharers");
-  if (llc_ && holders > 0 && !llc_->contains(line))
+      e.owner < 0 ||
+          (e.owner < static_cast<int>(cores()) &&
+           e.sharers == bit(static_cast<unsigned>(e.owner))),
+      "line " << line << " has owner " << e.owner << " alongside sharers 0x"
+              << std::hex << e.sharers << std::dec
+              << " (an Exclusive/Modified owner must be the sole sharer)");
+  SEMPERM_AUDIT_CHECK(!e.modified || e.owner >= 0,
+                      "line " << line << " is Modified with no owner");
+  std::uint64_t copies = 0;
+  for (unsigned c = 0; c < cores(); ++c)
+    if (privately_resident(c, line)) copies |= bit(c);
+  SEMPERM_AUDIT_CHECK((e.sharers & ~copies) == 0,
+                      "core " << std::countr_zero(e.sharers & ~copies)
+                              << " is a sharer of line " << line
+                              << " without a private copy");
+  SEMPERM_AUDIT_CHECK((copies & ~e.sharers) == 0,
+                      "core " << std::countr_zero(copies & ~e.sharers)
+                              << " holds a private copy of line " << line
+                              << " without a sharer bit");
+  if (llc_ && e.sharers != 0 && !llc_->contains(line))
     SEMPERM_AUDIT_CHECK(
         audit_noninclusive_.count(line) != 0,
         "LLC inclusion violated for line "
@@ -622,17 +590,9 @@ void CoherentHierarchy::audit_line(Addr line) const {
 void CoherentHierarchy::audit() const {
 #if SEMPERM_AUDIT
   for (const auto& [line, entry] : directory_) audit_line(line);
-  for (unsigned c = 0; c < cores(); ++c) {
-    for (const auto& [line, st] : cores_[c].state) {
-      const auto dit = directory_.find(line);
-      SEMPERM_AUDIT_CHECK(
-          dit != directory_.end() && (dit->second.sharers & bit(c)) != 0,
-          "core " << c << " holds MESI state " << to_string(st)
-                  << " for line " << line << " that the directory"
-                  << " does not track");
-    }
-    cores_[c].l1.audit();
-    cores_[c].l2.audit();
+  for (const auto& cs : cores_) {
+    cs.l1.audit();
+    cs.l2.audit();
   }
   if (llc_) llc_->audit();
   SEMPERM_AUDIT_CHECK(coh_.upgrades <= coh_.snoops,
@@ -648,9 +608,14 @@ void CoherentHierarchy::audit() const {
 #if SEMPERM_AUDIT
 void CoherentHierarchy::audit_corrupt_state_for_test(unsigned core, Addr line,
                                                      MesiState st) {
-  // Deliberately bypasses set_state: no legality check, no directory
-  // update. The next audit of `line` must throw.
-  cores_.at(core).state[line] = st;  // semperm-analyze: allow(audit-mesi-bypass) -- deliberate corruption seam for the audit tests: bypassing set_state IS the point
+  // Deliberately bypasses set_state: no legality check, and the other
+  // sharers are left as they are. The next audit of `line` must throw.
+  DirEntry& e = directory_.find_or_insert(line)->second;
+  const bool owns = st == MesiState::kExclusive || st == MesiState::kModified;
+  // semperm-analyze: allow(audit-mesi-bypass) -- deliberate corruption seam for the audit tests: bypassing set_state IS the point
+  e.sharers |= bit(core);
+  e.owner = owns ? static_cast<int>(core) : -1;  // semperm-analyze: allow(audit-mesi-bypass) -- the same seam
+  e.modified = st == MesiState::kModified;
 }
 #endif
 

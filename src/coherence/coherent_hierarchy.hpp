@@ -2,13 +2,17 @@
 //
 // Multi-core coherent cache hierarchy: N per-core private L1/L2 stacks
 // (each a cachesim::SetAssocCache with the architecture's prefetchers)
-// over one shared, inclusive LLC, with MESI line states and a
-// directory-lite sharer bitmap per line.
+// over one shared, inclusive LLC, with MESI line states kept in one
+// directory-lite entry per privately held line.
 //
 // Modelling notes (see DESIGN.md § Coherence model):
 //  * Private levels keep the single-core Hierarchy's NINE fill/evict
 //    behaviour exactly; the shared LLC adds inclusion — an LLC eviction
 //    back-invalidates every private copy of the victim.
+//  * The directory entry is the only coherence record: the sharer bitmap,
+//    the single E-or-M owner and whether it is Modified. Each core's MESI
+//    state is derived from it (I if the core's bit is clear, E/M if it is
+//    the owner, S otherwise), so a protocol decision probes one entry.
 //  * Coherence cost is charged only when a remote core must act (the
 //    directory filters everything else): S→M upgrades and write-miss
 //    invalidations pay snoop_latency; a remote Modified copy pays
@@ -80,7 +84,8 @@ class CoherentHierarchy {
 
   // --- introspection ---------------------------------------------------
 
-  /// MESI state of `line` in `core`'s private stack (kInvalid if absent).
+  /// MESI state of `line` in `core`'s private stack, derived from the
+  /// directory entry (kInvalid if the core is not a sharer).
   MesiState state(unsigned core, Addr line) const;
 
   bool privately_resident(unsigned core, Addr line) const;
@@ -120,21 +125,21 @@ class CoherentHierarchy {
 
   std::string report() const;
 
-  /// Full protocol audit (see DESIGN.md § Invariant audits): every tracked
-  /// line satisfies the MESI sharing invariants (at most one E/M owner and
-  /// never alongside other sharers, directory bitmap == per-core state
-  /// maps, private state implies private residency, LLC inclusion modulo
-  /// the documented L1-prefetch leak), every cache level passes its own
-  /// audit, and the coherence counters obey their conservation bounds.
+  /// Full protocol audit (see DESIGN.md § Invariant audits): every
+  /// directory entry is well formed (non-empty sharers; an owner is the
+  /// sole sharer; Modified implies an owner), a core is a sharer exactly
+  /// when it holds a private copy, LLC inclusion holds modulo the
+  /// documented L1-prefetch leak, every cache level passes its own audit,
+  /// and the coherence counters obey their conservation bounds.
   /// Throws semperm::check::AuditError. No-op unless SEMPERM_AUDIT. The
   /// per-access hook audits only the touched line (O(cores)); this walks
   /// everything.
   void audit() const;
 
 #if SEMPERM_AUDIT
-  /// Test seam: poke a per-core MESI state directly, bypassing the audited
-  /// set_state mutator (no directory update, no legality check) — the next
-  /// audit of that line must throw.
+  /// Test seam: write `core`'s MESI state into the directory entry
+  /// directly, bypassing the audited set_state mutator (no legality check,
+  /// other sharers untouched) — the next audit of that line must throw.
   void audit_corrupt_state_for_test(unsigned core, Addr line, MesiState st);
 #endif
 
@@ -145,38 +150,43 @@ class CoherentHierarchy {
     cachesim::NextLinePrefetcher next_line;
     cachesim::AdjacentPairPrefetcher adjacent_pair;
     cachesim::StreamPrefetcher streamer;
-    // MESI state of privately resident lines; absence == kInvalid.
-    // Flat open-addressing map (line_map.hpp): per-access MESI lookups
-    // and transitions allocate nothing in steady state.
-    LineMap<MesiState> state;
     std::vector<cachesim::PrefetchRequest> scratch;
     mutable cachesim::HierarchyStats stats;
 
     CoreStack(const ArchProfile& a);
   };
 
-  struct DirEntry {
-    std::uint64_t sharers = 0;  // bit c set => core c holds a private copy
-    // The core holding the line Modified, or -1. MESI allows at most one,
-    // so tracking it here makes the miss path's owner query one directory
-    // probe instead of a walk over every remote core's state map.
-    // Maintained exclusively by set_state/drop_sharer, like the bitmap.
-    int owner = -1;
-  };
-
   static std::uint64_t bit(unsigned core) { return std::uint64_t{1} << core; }
 
-  /// Cores other than `core` holding a private copy of `line` (bitmap).
-  std::uint64_t remote_sharers(unsigned core, Addr line) const;
-  /// The single remote core holding `line` Modified, or -1.
-  int remote_modified(unsigned core, Addr line) const;
+  /// The one coherence record of a privately held line. MESI allows at
+  /// most one Exclusive-or-Modified holder, and then no other sharer, so
+  /// the bitmap plus that owner determine every core's state. Written
+  /// only by set_state/drop_sharer.
+  struct DirEntry {
+    std::uint64_t sharers = 0;  // bit c set <=> core c holds a private copy
+    int owner = -1;             // the E-or-M holder, or -1
+    bool modified = false;      // the owner holds the line Modified
 
-  void set_state(unsigned core, Addr line, MesiState st);
-  void drop_sharer(unsigned core, Addr line);
+    /// The core holding the line Modified, or -1.
+    int dirty_owner() const { return modified ? owner : -1; }
+    MesiState state_of(unsigned core) const {
+      if ((sharers & bit(core)) == 0) return MesiState::kInvalid;
+      if (owner != static_cast<int>(core)) return MesiState::kShared;
+      return modified ? MesiState::kModified : MesiState::kExclusive;
+    }
+  };
+  using DirIt = LineMap<DirEntry>::iterator;
 
-  /// Remote copies of `line` leave S/E/M → I (write propagation). M copies
-  /// write back first. Charges nothing — callers charge the snoop.
-  void invalidate_remotes(unsigned core, Addr line);
+  /// `core` enters state `st` (S, E or M) for the entry's line.
+  void set_state(DirIt it, unsigned core, MesiState st);
+  /// `core` leaves the entry's sharers (→ I); the last one out erases the
+  /// entry, invalidating `it`.
+  void drop_sharer(DirIt it, unsigned core);
+
+  /// Remote copies of the entry's line leave S/E/M → I (write
+  /// propagation), in one pass over the entry. An M copy writes back
+  /// first. Charges nothing — callers charge the snoop.
+  void invalidate_remotes(DirIt it, unsigned core);
 
   /// Line no longer resident in either private level of `core`: drop the
   /// sharer bit (the data's fate travels with the per-way dirty bits).
@@ -210,6 +220,8 @@ class CoherentHierarchy {
   Cycles llc_latency_ = 0;
   LineMap<DirEntry> directory_;
   CoherenceStats coh_;
+  // pollute()'s back-invalidation list, kept to reuse its capacity.
+  std::vector<Addr> pollute_gone_;
   // Audit-only: lines legitimately violating LLC inclusion through the
   // documented L1-prefetch leak (filled privately without an LLC copy).
   // Entries retire when the LLC acquires the line or the last private copy

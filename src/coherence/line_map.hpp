@@ -1,8 +1,8 @@
 // semperm/coherence/line_map.hpp
 //
 // LineMap<V> — a flat open-addressing hash map from cache-line index to a
-// small POD value, replacing std::unordered_map on the coherence hot path
-// (per-core MESI state, sharer directory).
+// small POD value: the coherence directory's table (one DirEntry per line
+// that some core holds privately).
 //
 // Why not unordered_map: every insert/erase there is a node malloc/free
 // and every lookup a prime-modulo hash plus a pointer chase — all of it
@@ -13,22 +13,20 @@
 // backward-shift deletion (no tombstones, so probe chains never rot).
 //
 // A slot is just the pair<Addr, V>: the reserved key ~Addr{0} marks a
-// free slot instead of a separate `used` flag, so a MesiState map packs
-// four slots per cache line (16 B each) rather than two-and-change — the
-// probe arrays are random-access on every simulated access, and halving
-// their footprint halves the cache misses they cost. No real cache-line
-// index can collide with the sentinel (it would be the line at the very
-// top of the 64-bit address space); inserts assert it.
+// free slot instead of a separate `used` flag, so a slot is no wider
+// than its key and value — the probe arrays are random-access on every
+// simulated miss, and their footprint is what those probes cost. No real
+// cache-line index can collide with the sentinel (it would be the line at
+// the very top of the 64-bit address space); inserts assert it.
 //
-// The API mirrors the unordered_map subset the coherence layer uses —
-// find/end, operator[], erase(key), erase(iterator), contains, size,
-// clear, range-for over pair<Addr, V> — so call sites read identically
-// and the audit-mesi-bypass static check keeps matching its mutation
-// sites. Iteration order is deterministic (pure function of the insert/
-// erase history) but is NOT insertion order; no current caller depends
-// on order. References and iterators are invalidated by rehash (growth)
-// and by erase, like any open-addressing table — callers must not hold
-// them across mutations.
+// The API is the small unordered_map-like subset the coherence layer
+// uses — find/end, find_or_insert, erase(iterator), clear, range-for over
+// pair<Addr, V> — plus for_each_erasable, a scan that may erase as it
+// goes. Iteration order is deterministic (pure function of the insert/
+// erase history) but is NOT insertion order; no caller depends on order.
+// References and iterators are invalidated by rehash (growth) and by
+// erase, like any open-addressing table — callers must not hold them
+// across mutations.
 #pragma once
 
 #include <cstddef>
@@ -97,14 +95,6 @@ class LineMap {
     slots_.resize(cap, Slot{kEmpty, V{}});
   }
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  iterator begin() {
-    iterator it(slots_.data(), slots_.data() + slots_.size());
-    it.skip_free();
-    return it;
-  }
   iterator end() {
     return iterator(slots_.data() + slots_.size(),
                     slots_.data() + slots_.size());
@@ -130,10 +120,9 @@ class LineMap {
                                 slots_.data() + slots_.size())
                : end();
   }
-  bool contains(Addr key) const { return slots_[probe(key)].first != kEmpty; }
 
   /// Insert-or-find, default-constructing the value on insert.
-  V& operator[](Addr key) {
+  iterator find_or_insert(Addr key) {
     SEMPERM_ASSERT(key != kEmpty);
     if ((size_ + 1) * 4 > slots_.size() * 3) grow();
     const std::size_t i = probe(key);
@@ -143,15 +132,28 @@ class LineMap {
       s.second = V{};
       ++size_;
     }
-    return s.second;
+    return at_index(i);
   }
 
-  void erase(Addr key) {
-    const std::size_t i = probe(key);
-    if (slots_[i].first != kEmpty) erase_at(i);
-  }
   void erase(const_iterator it) {
     erase_at(static_cast<std::size_t>(it.p_ - slots_.data()));
+  }
+
+  /// Visit every entry exactly once. `fn(it)` may erase the entry it is
+  /// handed (and no other) and must not insert. Backward-shift deletion
+  /// refills a hole only from later in the same run of used slots, so a
+  /// scan that starts just past a free slot re-examines a refilled hole
+  /// and never meets an entry twice.
+  template <typename Fn>
+  void for_each_erasable(Fn&& fn) {
+    std::size_t start = 0;
+    while (slots_[start].first != kEmpty) ++start;  // load factor < 1
+    for (std::size_t k = 1; k <= slots_.size();) {
+      const std::size_t i = (start + k) & mask();
+      const Addr key = slots_[i].first;
+      if (key != kEmpty) fn(at_index(i));
+      if (key == kEmpty || slots_[i].first == key) ++k;
+    }
   }
 
   /// Drop every entry; capacity (and therefore the zero-allocation steady
@@ -224,7 +226,8 @@ class LineMap {
     slots_.resize(old.size() * 2, Slot{kEmpty, V{}});
     size_ = 0;
     for (Slot& s : old)
-      if (s.first != kEmpty) operator[](s.first) = std::move(s.second);
+      if (s.first != kEmpty)
+        find_or_insert(s.first)->second = std::move(s.second);
   }
 
   std::vector<Slot> slots_;

@@ -1,18 +1,21 @@
 // semperm/coherence/mesi.hpp
 //
 // MESI line states and protocol-event counters for the multi-core coherent
-// hierarchy. The model is a directory-lite one: a sharer bitmap per line
-// (held beside the shared LLC) filters snoops, so coherence cost is charged
-// only when a remote core actually has to act — which also guarantees a
-// 1-core CoherentHierarchy degenerates to the single-core Hierarchy.
+// hierarchy. The model is a directory-lite one: one entry per privately
+// held line (sharer bitmap plus the single E/M owner) filters snoops, so
+// coherence cost is charged only when a remote core actually has to act —
+// which also guarantees a 1-core CoherentHierarchy degenerates to the
+// single-core Hierarchy.
 #pragma once
 
 #include <cstdint>
 
 namespace semperm::coherence {
 
-/// Classic MESI. A private line is in exactly one of these states per core;
-/// kInvalid is represented by absence from the per-core state map.
+/// Classic MESI. A private line is in exactly one of these states per core,
+/// derived from the line's directory entry: kInvalid when the core is not
+/// a sharer (or the line has no entry), kExclusive/kModified for the
+/// entry's owner, kShared for every other sharer.
 enum class MesiState : std::uint8_t {
   kInvalid,
   kShared,     // clean, possibly multiple cores

@@ -43,7 +43,7 @@ enum class ProfSite : std::uint8_t {
   kDramFill,        // nobody had it: dram_latency
   kBackInvalidate,  // inclusive-LLC victim back-invalidation (ops only)
   kWriteback,       // dirty writeback drained outward (ops only)
-  kMesiTransition,  // any state-map transition (ops only)
+  kMesiTransition,  // any MESI transition (ops only)
   kHeaterTouch,     // heater LLC refresh stream (all its branches)
   kCount,
 };

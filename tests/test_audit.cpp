@@ -128,14 +128,15 @@ TEST(SeededViolation, MesiTwoOwnerMixDetected) {
   EXPECT_NE(msg.find("owner"), std::string::npos) << msg;
 }
 
-TEST(SeededViolation, MesiUntrackedStateDetected) {
+TEST(SeededViolation, MesiStateWithoutPrivateCopyDetected) {
   CoherentHierarchy h(sandy_bridge(), 2);
   EXPECT_NO_THROW(h.audit());
-  // State for a line the directory has never seen (and which is not even
-  // resident): the full walk must flag the stray entry.
+  // Exclusive state for a line no cache holds: a sharer bit must mean a
+  // private copy, so the full walk must flag the entry.
   h.audit_corrupt_state_for_test(0, /*line=*/0x9999, MesiState::kExclusive);
+  ASSERT_EQ(h.state(0, 0x9999), MesiState::kExclusive);
   const std::string msg = audit_error_of([&] { h.audit(); });
-  EXPECT_NE(msg.find("does not track"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("without a private copy"), std::string::npos) << msg;
 }
 
 TEST(SeededViolation, UmqShadowDivergenceDetected) {

@@ -35,7 +35,7 @@ EXPECTED = {
         "determinism-unseeded-rng": 3,
     },
     "src/coherence/mesi_bypass.cpp": {
-        "audit-mesi-bypass": 3,
+        "audit-mesi-bypass": 4,
     },
     "src/hotcache/hot_alloc.cpp": {
         "hotpath-alloc": 2,

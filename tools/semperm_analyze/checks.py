@@ -6,8 +6,9 @@ Every check has a stable ID (reported, testable, suppressible):
   determinism-wall-clock    wall/steady clock reads in simulation code
   determinism-unseeded-rng  std::random_device / default-seeded <random>
                             engines in simulation code
-  audit-mesi-bypass         MESI state mutated outside CoherentHierarchy::
-                            set_state / drop_sharer
+  audit-mesi-bypass         a directory entry's sharers/owner/modified
+                            written outside CoherentHierarchy::set_state /
+                            drop_sharer
   hotpath-alloc             allocation reachable from a SEMPERM_HOT root
   seqlock-payload           non-atomic payload member in a seqlock slot
   layout-heat-anchor        heat_anchor not first / struct not line-aligned
@@ -200,6 +201,11 @@ def check_determinism(fi: FileIndex, sup: Suppressions,
 
 
 _MESI_MUTATORS = {"set_state", "drop_sharer"}
+# The directory entry is the only coherence record: every core's MESI
+# state is derived from these three fields.
+_DIR_ENTRY_FIELDS = {"sharers", "owner", "modified"}
+_ASSIGN_OPS = {"=", "|=", "&=", "^=", "+=", "-=", "*=", "/=", "%=", "<<=",
+               ">>=", "++", "--"}
 
 
 def check_mesi_routing(fi: FileIndex, sup: Suppressions) -> List[Finding]:
@@ -208,30 +214,13 @@ def check_mesi_routing(fi: FileIndex, sup: Suppressions) -> List[Finding]:
     out: List[Finding] = []
     toks = fi.tokens
     for i, t in enumerate(toks):
-        if t.kind != "id" or t.text != "state":
+        if t.kind != "id" or t.text not in _DIR_ENTRY_FIELDS:
             continue
         if i == 0 or toks[i - 1].text not in (".", "->"):
             continue
-        nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-        mutation = None
-        if nxt == "[":
-            close = i + 1
-            depth = 0
-            while close < len(toks):
-                if toks[close].text == "[":
-                    depth += 1
-                elif toks[close].text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                close += 1
-            after = toks[close + 1].text if close + 1 < len(toks) else ""
-            if after == "=":
-                mutation = "indexed write to `.state[...]`"
-        elif nxt == "." and i + 2 < len(toks) and \
-                toks[i + 2].text in ("erase", "clear", "insert", "emplace"):
-            mutation = f"`.state.{toks[i + 2].text}(...)`"
-        if mutation is None:
+        op = toks[i + 1].text if i + 1 < len(toks) else ""
+        pre = toks[i - 3].text if i >= 3 else ""
+        if op not in _ASSIGN_OPS and pre not in ("++", "--"):
             continue
         fn = fi.enclosing_function(t.line)
         fname = fn.name if fn else "<file scope>"
@@ -242,9 +231,9 @@ def check_mesi_routing(fi: FileIndex, sup: Suppressions) -> List[Finding]:
             continue
         out.append(Finding(
             "audit-mesi-bypass", fi.path, t.line,
-            f"{mutation} in `{fname}` — MESI state must change through "
-            "CoherentHierarchy::set_state / drop_sharer so the audit layer "
-            "sees every transition"))
+            f"write to directory-entry field `.{t.text}` in `{fname}` — "
+            "MESI state must change through CoherentHierarchy::set_state / "
+            "drop_sharer so the audit layer sees every transition"))
     return out
 
 
