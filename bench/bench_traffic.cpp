@@ -13,9 +13,10 @@
 //                               fits the LLC, collapsing once the working
 //                               set exceeds it (the paper's thesis at
 //                               "millions of users" scale).
-//   traffic self-performance    native generator/steering throughput
-//                               (*_per_sec metrics, gated by perf-smoke
-//                               against bench/BENCH_traffic.baseline.json).
+//   traffic self-performance    native Zipf-table build, generator and
+//                               steering throughput (*_per_sec metrics,
+//                               gated by perf-smoke against
+//                               bench/BENCH_traffic.baseline.json).
 //   traffic overload campaign   chaos × overload matrix (DESIGN.md §17.4):
 //                               steady vs flash-crowd at 1×/3×/10× offered
 //                               load × fault plans × admission on/off over
@@ -33,12 +34,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "cachesim/arch.hpp"
+#include "common/zipf.hpp"
 #include "fault/fault.hpp"
 #include "resilience/admission.hpp"
 #include "traffic/flow_gen.hpp"
@@ -349,6 +352,17 @@ int main(int argc, char** argv) {
     const std::uint64_t n = quick ? 2'000'000 : 20'000'000;
     std::vector<std::uint64_t> buf(8192);
 
+    // One alias-table build at the steering workload's skew: the set-up
+    // every FlowGenerator pays, timed without its teardown.
+    const std::uint64_t build_ranks =
+        quick ? std::uint64_t{1} << 20 : 10'000'000;
+    std::optional<traffic::ZipfSampler> built;
+    const bench::Score build_score = bench::timed([&] {
+      built.emplace(build_ranks, 1.05);
+      return build_ranks;
+    });
+    built.reset();
+
     traffic::FlowGenParams gp;
     gp.flows = std::uint64_t{1} << 20;
     gp.zipf_s = 1.0;
@@ -397,6 +411,9 @@ int main(int argc, char** argv) {
     });
 
     Table perf({"path", "items", "seconds", "M/s"});
+    perf.add_row({"zipf table build (s=1.05)", Table::num(build_score.items),
+                  Table::num(build_score.seconds, 3),
+                  Table::num(build_score.per_sec() / 1e6, 1)});
     perf.add_row({"generate (steady zipf)", Table::num(gen_score.items),
                   Table::num(gen_score.seconds, 3),
                   Table::num(gen_score.per_sec() / 1e6, 1)});
@@ -409,6 +426,8 @@ int main(int argc, char** argv) {
     perf.add_row({"steer (admission filter)", Table::num(admit_score.items),
                   Table::num(admit_score.seconds, 3),
                   Table::num(admit_score.per_sec() / 1e6, 1)});
+    bench::report_metric("traffic_zipf_build_ranks_per_sec",
+                         build_score.per_sec());
     bench::report_metric("traffic_gen_zipf_flows_per_sec",
                          gen_score.per_sec());
     bench::report_metric("traffic_gen_flash_flows_per_sec",

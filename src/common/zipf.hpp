@@ -9,28 +9,59 @@
 // internet-scale scenarios sample flow *ranks* from a bounded Zipf
 // distribution: P(rank r) ∝ 1/(r+1)^s over a finite support.
 //
-// Two rejection-free backends over the same precomputed weights:
-//  * alias table (Vose) — O(1) per draw, the hot generation path;
-//  * inverse CDF (binary search) — O(log n) per draw, the validation
-//    path the property tests cross-check the alias table against.
-// Both consume exactly the same number of Rng draws per sample (two), so
-// swapping backends never perturbs downstream seeded streams.
+// One rejection-free backend: a Vose alias table, O(1) and two Rng draws
+// per sample. The table is built in its own storage (12 bytes per rank
+// kept, 16 at the build's peak) with the std::pow weight pass split
+// across a few threads; every entry is bit-identical to a single-threaded
+// build. The inverse-CDF sampler the property tests validate it against
+// lives in tests/reference_zipf.hpp.
 //
 // Lives in common/ (not traffic/) because workloads/ also uses it; the
 // namespace stays `traffic` — it is the traffic model's distribution.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace semperm::traffic {
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() leaves numbers unwritten: the build's threads write every
+/// entry first and take its page faults in parallel.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;  // no value: left unwritten
+  }
+};
+
+/// Vose alias table over P(rank r) ∝ 1/(r+1)^s: draw a slot uniformly,
+/// keep it with probability accept[slot], otherwise take alias[slot].
+struct ZipfAliasTable {
+  double norm = 0.0;  // generalized harmonic number H(n, s)
+  // Acceptance probability and alias target per slot.
+  std::vector<double, DefaultInitAllocator<double>> accept;
+  std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>> alias;
+};
+
+/// Build the alias table for `support` ranks at skew `s` — what
+/// ZipfSampler's constructor runs. The weights are written into `accept`
+/// and scaled there; Vose's small and large stacks share one
+/// support-entry scratch buffer. The std::pow pass runs in contiguous
+/// chunks on up to four threads (at most one chunk per 2^16 ranks); the
+/// sum, the stack split and the pairing are sequential, so the result
+/// does not depend on the chunk count.
+ZipfAliasTable build_zipf_alias_table(std::uint64_t support, double s);
+
 /// Bounded Zipf(s) sampler over ranks {0, ..., support-1}, rank 0 most
 /// popular. s = 0 degenerates to the uniform distribution. Construction
-/// is O(support) time and memory (CDF + alias table are precomputed);
-/// sampling allocates nothing.
+/// is O(support) time and 12 bytes per rank of memory (16 while
+/// building); sampling allocates nothing.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t support, double s);
@@ -39,20 +70,11 @@ class ZipfSampler {
   std::uint64_t operator()(Rng& rng) const {
     const std::uint64_t slot = rng.below(n_);
     const double u = rng.uniform();
-    return u < accept_[slot] ? slot : alias_[slot];
+    return u < table_.accept[slot] ? slot : table_.alias[slot];
   }
-
-  /// Draw a rank by inverting the precomputed CDF: O(log n). Identical
-  /// distribution to operator(); kept as the independent implementation
-  /// the property tests validate the alias table against. Consumes the
-  /// same two Rng draws per sample as the alias path.
-  std::uint64_t sample_cdf(Rng& rng) const;
 
   /// Analytic P(rank).
   double pmf(std::uint64_t rank) const;
-
-  /// Precomputed P(X <= rank).
-  double cdf(std::uint64_t rank) const { return cdf_[rank]; }
 
   std::uint64_t support() const { return n_; }
   double skew() const { return s_; }
@@ -60,10 +82,7 @@ class ZipfSampler {
  private:
   std::uint64_t n_;
   double s_;
-  double norm_;                      // generalized harmonic number H(n, s)
-  std::vector<double> cdf_;          // cdf_[r] = P(X <= r)
-  std::vector<double> accept_;       // alias acceptance probability per slot
-  std::vector<std::uint32_t> alias_; // alias target per slot
+  ZipfAliasTable table_;
 };
 
 /// Deterministic bijection over {0, ..., n-1}: rank → identity. Zipf ranks
@@ -77,11 +96,12 @@ struct RankMixer {
   std::uint64_t b = 0;
   std::uint64_t n = 1;
 
+  /// `rank` must be below n.
   std::uint64_t operator()(std::uint64_t rank) const {
-    // n is bounded by the 2^32 sampler support, so a*rank fits unsigned
-    // 128-bit intermediate math exactly.
-    return static_cast<std::uint64_t>(
-        (static_cast<__uint128_t>(rank) * a + b) % n);
+    // rank, a, b < n <= 2^32 (make() checks the bound; at n = 1, a = 1
+    // but rank = 0), so rank * a + b <= n(n-1) < 2^64: 64-bit arithmetic
+    // is exact.
+    return (rank * a + b) % n;
   }
 
   static RankMixer make(std::uint64_t n, std::uint64_t seed);

@@ -19,9 +19,11 @@
 //                  ids beyond the standing population, modelling a sudden
 //                  audience that evicts the heated tail.
 //
-// Streaming contract: the generator never materializes per-flow state or
-// full address buffers — next_batch() fills a caller-supplied span, sized
-// to whatever chunk the consumer feeds Hierarchy::simulate().
+// Streaming contract: beyond the Zipf sampler's alias table (12 bytes per
+// standing flow, built once in the constructor) the generator never
+// materializes per-flow state or full address buffers — next_batch()
+// fills a caller-supplied span, sized to whatever chunk the consumer feeds
+// Hierarchy::simulate().
 #pragma once
 
 #include <cstdint>
