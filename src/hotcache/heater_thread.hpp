@@ -77,7 +77,7 @@ class HeaterThread {
   /// and by callers that drive heating explicitly at phase boundaries).
   void run_single_pass();
 
-  // --- resilience surface (fault/heater_watchdog) ---------------------
+  // --- resilience surface (resilience/heater_watchdog) ----------------
 
   /// Steady-clock ns stamp of the last completed pass; 0 before the
   /// first pass. The watchdog's staleness signal.

@@ -12,7 +12,7 @@
 //    blocking a registering/unregistering application thread;
 //  * the caller must guarantee registered memory remains *readable* until
 //    the registry is destroyed (pool-backed allocations provide this; see
-//    memlayout::Pool / BlockPool). Reading tombstoned-but-alive memory is
+//    memlayout::BlockPool). Reading tombstoned-but-alive memory is
 //    harmless; reading unmapped memory would not be.
 #pragma once
 
@@ -28,7 +28,7 @@ namespace semperm::hotcache {
 
 /// A snapshot of one region, as read by the heater. `priority` orders
 /// regions for graceful degradation: 0 is the most important; a
-/// degraded heater (fault/heater_watchdog) stops heating regions whose
+/// degraded heater (resilience/heater_watchdog) stops heating regions whose
 /// priority exceeds its current ceiling.
 struct RegionView {
   const std::byte* base = nullptr;

@@ -19,7 +19,6 @@
 #include "match/lla_queue.hpp"
 #include "memlayout/arena.hpp"
 #include "memlayout/block_pool.hpp"
-#include "memlayout/pool.hpp"
 
 namespace semperm::match {
 

@@ -52,8 +52,8 @@ class AddressSpace {
 
 /// Bump allocator over one contiguous, cache-line-aligned buffer with a
 /// matching simulated address region. Memory is never returned to the arena
-/// individually — pools layered on top provide reuse (see pool.hpp), which
-/// is exactly the element-reuse discipline the paper's hot-caching
+/// individually — pools layered on top provide reuse (see block_pool.hpp),
+/// which is exactly the element-reuse discipline the paper's hot-caching
 /// implementation needs (§3.2: the heater must never observe freed memory).
 class Arena {
  public:

@@ -1,10 +1,24 @@
 // semperm/memlayout/block_pool.hpp
 //
-// BlockPool: like Pool<T> but for raw blocks whose size is chosen at run
-// time — the linked-list-of-arrays queue picks its node size from the
-// entries-per-array parameter, which the benchmark harness sweeps.
-// Shares Pool's guarantees: blocks are never returned to the arena, so
-// heater-registered memory stays valid for the pool's lifetime.
+// BlockPool: a pool of raw blocks over an Arena, with a block size chosen
+// at run time (the linked-list-of-arrays queue picks its node size from
+// the entries-per-array parameter, which the benchmark harness sweeps)
+// and a configurable *address policy*.
+//
+// The address policy is one of the study's experimental knobs (DESIGN.md
+// decision 2): the baseline linked list in a long-lived MPI process does
+// not receive consecutive node addresses — it recycles nodes through a
+// general-purpose allocator whose free list is effectively scrambled by
+// unrelated traffic. kScattered models that by carving chunks of blocks
+// and handing them out in a seeded-shuffled order; kSequential hands
+// blocks out in address order (best case for a hardware stream
+// prefetcher).
+//
+// Pools never return memory to the arena. Released blocks go onto the
+// pool's free list and are recycled, which is the element-reuse
+// discipline the paper's hot-caching implementation requires (§3.2: the
+// heater thread may touch any registered region at any moment, so region
+// memory must stay valid for the lifetime of the pool).
 //
 // acquire()/release() sit on the match engine's hot path (every queue
 // append/remove goes through them), so both are SEMPERM_HOT and
@@ -24,9 +38,13 @@
 #include "common/hot_path.hpp"
 #include "common/rng.hpp"
 #include "memlayout/arena.hpp"
-#include "memlayout/pool.hpp"
 
 namespace semperm::memlayout {
+
+enum class AddressPolicy {
+  kSequential,  // blocks handed out in ascending address order
+  kScattered,   // blocks handed out in seeded-shuffled order
+};
 
 class BlockPool {
  public:

@@ -1,127 +1,108 @@
 #include "resilience/degradation.hpp"
 
 #include "common/assert.hpp"
-#include "hotcache/heater_thread.hpp"
 #include "obs/metrics.hpp"
 
 namespace semperm::resilience {
 
-DegradationManager::DegradationManager(DegradationConfig cfg,
-                                       hotcache::HeaterThread* heater)
-    : cfg_(cfg),
-      heater_(heater),
-      level_metric_(
-          obs::MetricsRegistry::global().gauge("resilience.degradation_level")),
-      escalations_metric_(
-          obs::MetricsRegistry::global().counter("resilience.escalations")),
-      recoveries_metric_(
-          obs::MetricsRegistry::global().counter("resilience.recoveries")) {
-  SEMPERM_ASSERT_MSG(cfg.degrade_after_checks > 0 &&
-                         cfg.recover_after_checks > 0,
+Ladder::Ladder(std::uint32_t degrade_after_checks,
+               std::uint32_t recover_after_checks,
+               std::uint32_t probation_checks)
+    : degrade_after_checks_(degrade_after_checks),
+      recover_after_checks_(recover_after_checks),
+      probation_checks_(probation_checks) {
+  SEMPERM_ASSERT_MSG(degrade_after_checks > 0 && recover_after_checks > 0,
                      "streak thresholds must be nonzero");
-  level_metric_.set(0);
-  SEMPERM_TRACE_ONLY(track_ = obs::intern_track("resilience/ladder");)
 }
 
-void DegradationManager::accrue_dwell_locked(std::uint64_t now) {
-  const int lvl = level_.load(std::memory_order_relaxed);
-  if (last_check_ != 0 && now > last_check_)
-    dwell_[lvl].fetch_add(now - last_check_, std::memory_order_relaxed);
+LadderStep Ladder::check_once(std::uint64_t now, Health health) {
+  const int lvl = stats_.level;
+  LadderStep step;
+  step.from = lvl;
+  ++stats_.checks;
+  if (last_check_ != 0 && now > last_check_) step.dwell = now - last_check_;
+  stats_.dwell[lvl] += step.dwell;
   last_check_ = now;
-}
 
-void DegradationManager::apply_level_locked(int level, std::uint64_t now) {
-  (void)now;
-  if (heater_ != nullptr)
-    heater_->set_priority_ceiling(level >= 2 ? cfg_.essential_ceiling
-                                             : std::uint8_t{255});
-  level_.store(level, std::memory_order_release);
-  level_metric_.set(level);
-}
-
-int DegradationManager::check_once(std::uint64_t now,
-                                   const HealthSignals& signals) {
-  MutexLock lock(policy_mutex_);
-  checks_.fetch_add(1, std::memory_order_relaxed);
-  accrue_dwell_locked(now);
-  const int lvl = level_.load(std::memory_order_relaxed);
-
-  const bool queue_hot = signals.queue_high_watermark != 0 &&
-                         signals.queue_depth >= signals.queue_high_watermark;
-  const bool misses_hot = signals.miss_rate_ewma >= cfg_.miss_rate_high;
-  const bool watchdog_hot = signals.watchdog_level >= cfg_.watchdog_escalate_at;
-  const bool unhealthy = queue_hot || misses_hot || watchdog_hot;
-
-  if (unhealthy) {
-    unhealthy_checks_.fetch_add(1, std::memory_order_relaxed);
+  if (health == Health::kUnhealthy) {
+    ++stats_.unhealthy_checks;
     healthy_streak_ = 0;
     if (probation_left_ > 0) {
       // A system that just climbed down from the top level gets no streak
       // grace: one unhealthy check on probation snaps straight back.
       probation_left_ = 0;
       unhealthy_streak_ = 0;
-      probation_reescalations_.fetch_add(1, std::memory_order_relaxed);
-      escalations_.fetch_add(1, std::memory_order_relaxed);
-      escalations_metric_.add(1);
-      apply_level_locked(kLevels - 1, now);
-      SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "degrade", track_,
-                            kLevels - 1, 1.0);
-    } else if (++unhealthy_streak_ >= cfg_.degrade_after_checks) {
+      ++stats_.probation_reescalations;
+      ++stats_.escalations;
+      stats_.level = kLevels - 1;
+      step.snapped_back = true;
+    } else if (++unhealthy_streak_ >= degrade_after_checks_) {
       unhealthy_streak_ = 0;
       if (lvl < kLevels - 1) {
-        escalations_.fetch_add(1, std::memory_order_relaxed);
-        escalations_metric_.add(1);
-        apply_level_locked(lvl + 1, now);
-        SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "degrade", track_,
-                              static_cast<std::uint64_t>(lvl + 1), 0.0);
+        ++stats_.escalations;
+        stats_.level = lvl + 1;
       }
     }
-  } else {
+  } else if (health == Health::kHealthy) {
     unhealthy_streak_ = 0;
     if (probation_left_ > 0) --probation_left_;
-    if (++healthy_streak_ >= cfg_.recover_after_checks) {
+    if (++healthy_streak_ >= recover_after_checks_) {
       healthy_streak_ = 0;
       if (lvl > 0) {
-        recoveries_.fetch_add(1, std::memory_order_relaxed);
-        recoveries_metric_.add(1);
-        if (lvl == kLevels - 1) probation_left_ = cfg_.probation_checks;
-        apply_level_locked(lvl - 1, now);
-        SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "recover", track_,
-                              static_cast<std::uint64_t>(lvl - 1),
-                              probation_left_ > 0 ? 1.0 : 0.0);
+        ++stats_.recoveries;
+        if (lvl == kLevels - 1) probation_left_ = probation_checks_;
+        stats_.level = lvl - 1;
       }
     }
   }
-  return level_.load(std::memory_order_relaxed);
+  step.to = stats_.level;
+  return step;
 }
 
-void DegradationManager::reset(std::uint64_t now) {
-  MutexLock lock(policy_mutex_);
-  if (now != 0) accrue_dwell_locked(now);
-  apply_level_locked(0, now);
+void Ladder::reset() {
+  stats_.level = 0;
   unhealthy_streak_ = 0;
   healthy_streak_ = 0;
   probation_left_ = 0;
-  last_check_ = now;
+  last_check_ = 0;
 }
 
-bool DegradationManager::on_probation() const {
-  MutexLock lock(policy_mutex_);
-  return probation_left_ > 0;
+DegradationManager::DegradationManager(DegradationConfig cfg)
+    : miss_rate_high_(cfg.miss_rate_high),
+      ladder_(cfg.degrade_after_checks, cfg.recover_after_checks,
+              cfg.probation_checks),
+      level_metric_(
+          obs::MetricsRegistry::global().gauge("resilience.degradation_level")),
+      escalations_metric_(
+          obs::MetricsRegistry::global().counter("resilience.escalations")),
+      recoveries_metric_(
+          obs::MetricsRegistry::global().counter("resilience.recoveries")) {
+  level_metric_.set(0);
+  SEMPERM_TRACE_ONLY(track_ = obs::intern_track("resilience/ladder");)
 }
 
-DegradationStats DegradationManager::stats() const {
-  DegradationStats s;
-  s.level = level_.load(std::memory_order_acquire);
-  s.checks = checks_.load(std::memory_order_relaxed);
-  s.unhealthy_checks = unhealthy_checks_.load(std::memory_order_relaxed);
-  s.escalations = escalations_.load(std::memory_order_relaxed);
-  s.recoveries = recoveries_.load(std::memory_order_relaxed);
-  s.probation_reescalations =
-      probation_reescalations_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kLevels; ++i)
-    s.dwell[i] = dwell_[i].load(std::memory_order_relaxed);
-  return s;
+int DegradationManager::check_once(std::uint64_t now,
+                                   const HealthSignals& signals) {
+  const bool queue_hot = signals.queue_high_watermark != 0 &&
+                         signals.queue_depth >= signals.queue_high_watermark;
+  const bool misses_hot = signals.miss_rate_ewma >= miss_rate_high_;
+  const LadderStep step = ladder_.check_once(
+      now, queue_hot || misses_hot ? Health::kUnhealthy : Health::kHealthy);
+  if (step.to == step.from) return step.to;
+
+  level_metric_.set(step.to);
+  if (step.to > step.from) {
+    escalations_metric_.add(1);
+    SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "degrade", track_,
+                          static_cast<std::uint64_t>(step.to),
+                          step.snapped_back ? 1.0 : 0.0);
+  } else {
+    recoveries_metric_.add(1);
+    SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "recover", track_,
+                          static_cast<std::uint64_t>(step.to),
+                          ladder_.on_probation() ? 1.0 : 0.0);
+  }
+  return step.to;
 }
 
 }  // namespace semperm::resilience

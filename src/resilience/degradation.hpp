@@ -1,7 +1,10 @@
 // semperm/resilience/degradation.hpp
 //
-// The unified degradation ladder (DESIGN.md §17.3), generalizing the
-// HeaterWatchdog's heater-local ladder to the whole steering pipeline:
+// The degradation ladder (DESIGN.md §17.3): one deterministic L0..L3
+// state machine, `Ladder`, and the steering pipeline's adapter over it,
+// `DegradationManager`. The native heater's adapter is HeaterWatchdog
+// (heater_watchdog.hpp). The pipeline's levers, applied by the caller
+// for the level check_once returns:
 //
 //   L0 full service    — admission at its configured margin, full rule
 //                        walks, all heater regions heated.
@@ -14,27 +17,21 @@
 //                        lookups, no install, no walk); residents are
 //                        still served.
 //
-// The manager owns *policy only*: check_once(now, signals) is a pure
-// function of the explicit clock and the health signals the caller
-// observed (queue depth vs. watermark, miss-rate EWMA, heater-watchdog
-// level), so simulated drivers pass simulated cycles and native drivers
-// pass wall time, and tests drive it with synthetic clocks. The caller
-// applies the levers for the level returned; the optional native-heater
-// lever (priority ceiling at L2+) is the one lever the manager applies
-// itself, because the heater runs on its own thread.
+// Ladder::check_once(now, health) is a pure function of the explicit
+// clock and one observation, so simulated callers pass simulated cycles,
+// native callers pass wall time, and tests pass synthetic integers. It
+// holds no lock, metric or lever: adapters observe, apply levers, and
+// publish metrics and traces from the step it returns.
 //
-// Recovery is probation-based, like the watchdog's L3 resume: after
-// de-escalating from the top level, the ladder is on probation for
-// `probation_checks` checks during which a single unhealthy check snaps
-// straight back to L3 (no streak grace) — a system that just collapsed
-// must re-prove itself.
+// Recovery after L3 is probation-based: after de-escalating from the top
+// level, the ladder is on probation for `probation_checks` checks during
+// which a single unhealthy check snaps straight back to L3 (no streak
+// grace) — a system that just collapsed must re-prove itself.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "obs/trace.hpp"
 
 namespace semperm::obs {
@@ -42,13 +39,66 @@ class Counter;
 class Gauge;
 }  // namespace semperm::obs
 
-namespace semperm::hotcache {
-class HeaterThread;
-}  // namespace semperm::hotcache
-
 namespace semperm::resilience {
 
 inline constexpr int kLevels = 4;  // L0..L3
+
+struct DegradationStats {
+  int level = 0;
+  std::uint64_t checks = 0;
+  std::uint64_t unhealthy_checks = 0;
+  std::uint64_t escalations = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t probation_reescalations = 0;
+  /// Time accumulated at each level, in the caller's check_once clock
+  /// units (simulated cycles for run_steering, ns for the native heater).
+  std::uint64_t dwell[kLevels] = {0, 0, 0, 0};
+};
+
+/// What one check observed.
+enum class Health : std::uint8_t {
+  kUnobserved,  // nothing to judge: accrues dwell, moves no streak
+  kHealthy,
+  kUnhealthy,
+};
+
+/// One check's outcome, for the adapter's levers, metrics and traces.
+struct LadderStep {
+  int from = 0;  // level in force before the check
+  int to = 0;    // level in force after the check
+  /// Clock units this check attributed to `from` (0 on the first check
+  /// and whenever the clock did not advance).
+  std::uint64_t dwell = 0;
+  bool snapped_back = false;  // an unhealthy check on probation
+};
+
+class Ladder {
+ public:
+  /// Escalate one level after `degrade_after_checks` consecutive
+  /// unhealthy checks, de-escalate one after `recover_after_checks`
+  /// consecutive healthy ones; both must be nonzero.
+  Ladder(std::uint32_t degrade_after_checks,
+         std::uint32_t recover_after_checks, std::uint32_t probation_checks);
+
+  LadderStep check_once(std::uint64_t now, Health health);
+
+  /// Back to L0 with no streaks, no probation and no previous check; the
+  /// counters and dwell keep their totals.
+  void reset();
+
+  bool on_probation() const { return probation_left_ > 0; }
+  const DegradationStats& stats() const { return stats_; }
+
+ private:
+  std::uint32_t degrade_after_checks_;
+  std::uint32_t recover_after_checks_;
+  std::uint32_t probation_checks_;
+  std::uint32_t unhealthy_streak_ = 0;
+  std::uint32_t healthy_streak_ = 0;
+  std::uint32_t probation_left_ = 0;
+  std::uint64_t last_check_ = 0;
+  DegradationStats stats_;
+};
 
 struct DegradationConfig {
   /// Consecutive unhealthy checks before escalating one level.
@@ -59,11 +109,6 @@ struct DegradationConfig {
   std::uint32_t probation_checks = 4;
   /// Miss-rate EWMA at or above this is unhealthy.
   double miss_rate_high = 0.75;
-  /// A heater-watchdog level at or above this is unhealthy.
-  int watchdog_escalate_at = 2;
-  /// Native-heater lever at L2+ (only with an attached heater): regions
-  /// above this priority are skipped while degraded.
-  std::uint8_t essential_ceiling = 0;
 };
 
 /// One check's observations, gathered by the caller.
@@ -71,63 +116,26 @@ struct HealthSignals {
   std::size_t queue_depth = 0;
   std::size_t queue_high_watermark = 0;  // 0 = no queue signal
   double miss_rate_ewma = 0.0;
-  int watchdog_level = 0;
 };
 
-struct DegradationStats {
-  int level = 0;
-  std::uint64_t checks = 0;
-  std::uint64_t unhealthy_checks = 0;
-  std::uint64_t escalations = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t probation_reescalations = 0;
-  /// Time accumulated at each level, in the caller's check_once clock
-  /// units (simulated cycles for the steering driver, ns for native).
-  std::uint64_t dwell[kLevels] = {0, 0, 0, 0};
-};
-
+/// The steering pipeline's adapter: queue depth and miss-rate EWMA in,
+/// `resilience.*` registry metrics and `resilience/ladder` traces out.
 class DegradationManager {
  public:
-  /// `heater` is optional; when attached it must outlive the manager and
-  /// the manager applies the L2+ priority-ceiling lever to it directly.
-  explicit DegradationManager(DegradationConfig cfg,
-                              hotcache::HeaterThread* heater = nullptr);
+  explicit DegradationManager(DegradationConfig cfg);
 
   DegradationManager(const DegradationManager&) = delete;
   DegradationManager& operator=(const DegradationManager&) = delete;
 
-  /// One deterministic policy step against the caller's clock. Returns
-  /// the level in force after the step. Thread-safe (serialized).
+  /// One policy step against the caller's clock. Returns the level in
+  /// force after the step.
   int check_once(std::uint64_t now, const HealthSignals& signals);
 
-  /// Force the ladder back to L0 (and lift the heater ceiling).
-  void reset(std::uint64_t now = 0);
-
-  int level() const { return level_.load(std::memory_order_acquire); }
-  bool on_probation() const;
-  DegradationStats stats() const;
+  const DegradationStats& stats() const { return ladder_.stats(); }
 
  private:
-  void apply_level_locked(int level, std::uint64_t now)
-      REQUIRES(policy_mutex_);
-  void accrue_dwell_locked(std::uint64_t now) REQUIRES(policy_mutex_);
-
-  DegradationConfig cfg_;
-  hotcache::HeaterThread* heater_;
-
-  mutable Mutex policy_mutex_;
-  std::uint32_t unhealthy_streak_ GUARDED_BY(policy_mutex_) = 0;
-  std::uint32_t healthy_streak_ GUARDED_BY(policy_mutex_) = 0;
-  std::uint32_t probation_left_ GUARDED_BY(policy_mutex_) = 0;
-  std::uint64_t last_check_ GUARDED_BY(policy_mutex_) = 0;
-
-  std::atomic<int> level_{0};
-  std::atomic<std::uint64_t> checks_{0};
-  std::atomic<std::uint64_t> unhealthy_checks_{0};
-  std::atomic<std::uint64_t> escalations_{0};
-  std::atomic<std::uint64_t> recoveries_{0};
-  std::atomic<std::uint64_t> probation_reescalations_{0};
-  std::atomic<std::uint64_t> dwell_[kLevels] = {};
+  double miss_rate_high_;
+  Ladder ladder_;
 
   // Process-lifetime registry handles (cached: check_once may run at
   // epoch cadence and the registry map lookup is mutex-guarded).

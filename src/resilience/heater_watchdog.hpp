@@ -1,4 +1,4 @@
-// semperm/fault/heater_watchdog.hpp
+// semperm/resilience/heater_watchdog.hpp
 //
 // Resilience companion to the heater (DESIGN.md §12.3): a watchdog that
 // detects a lagging heater — passes not completing on schedule because
@@ -6,7 +6,9 @@
 // and degrades the heating service gracefully instead of letting a
 // silently cold cache masquerade as a hot one.
 //
-// Degradation ladder (each level includes the levers of the ones below):
+// It is the native heater's adapter over the degradation Ladder
+// (degradation.hpp, DESIGN.md §17.3). Its levers, each level including
+// the ones below it:
 //   L0 healthy   — configured budget, all priorities heated.
 //   L1 reduced   — per-pass byte budget halved: shorter passes are more
 //                  likely to complete inside the period.
@@ -15,19 +17,20 @@
 //   L3 paused    — the heater is self-paused entirely: a heater that
 //                  cannot keep up only adds interference (paper §3.2
 //                  challenge 3), so stop pretending.
-// Recovery walks the ladder back down one level per healthy streak. L3 is
-// special: a paused heater produces no passes to observe, so after the
-// recovery streak elapses the watchdog resumes the heater *on probation*
-// at L2 and lets the normal staleness signal decide from there.
+// Its signal: a stale pass is unhealthy and a fresh one healthy. A paused
+// heater produces no passes, so a heater the watchdog paused counts as
+// healthy: after the recovery streak the watchdog resumes it at L2 and
+// lets staleness decide from there. A stopped heater, or one the
+// application paused, is not observed. The ladder runs with no probation.
 //
 // Determinism: all policy lives in check_once(now_ns), a pure function of
-// the observed pass timestamp and the explicit `now` — tests drive it
+// the observed heater state and the explicit `now` — tests drive it
 // directly with synthetic clocks. start() merely runs check_once on a
 // background thread against the steady clock.
 //
 // The watchdog is plain code compiled in every build configuration (like
-// obs::MetricsRegistry); only the *injection* sites that make it fire on
-// demand are SEMPERM_FAULT-gated.
+// obs::MetricsRegistry); only the fault *injection* sites that make it
+// fire on demand are SEMPERM_FAULT-gated.
 #pragma once
 
 #include <atomic>
@@ -37,8 +40,9 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "hotcache/heater_thread.hpp"
+#include "resilience/degradation.hpp"
 
-namespace semperm::fault {
+namespace semperm::resilience {
 
 struct WatchdogConfig {
   /// How often the background thread samples heater liveness.
@@ -49,7 +53,7 @@ struct WatchdogConfig {
   /// Consecutive stale checks before escalating one level.
   std::uint32_t degrade_after_checks = 2;
   /// Consecutive healthy checks before de-escalating one level (and the
-  /// probation length at L3 before the heater is resumed).
+  /// self-paused checks at L3 before the heater is resumed).
   std::uint32_t recover_after_checks = 4;
   /// Priority ceiling applied at L2: regions with priority above this
   /// are skipped while degraded.
@@ -59,17 +63,8 @@ struct WatchdogConfig {
   std::size_t fallback_degraded_budget = 1u << 20;
 };
 
-struct WatchdogStats {
-  int level = 0;                    // current degradation level (0..3)
-  std::uint64_t checks = 0;         // check_once invocations
-  std::uint64_t stale_checks = 0;   // checks that observed staleness
-  std::uint64_t degradations = 0;   // level escalations
-  std::uint64_t recoveries = 0;     // level de-escalations
-  /// Time spent at each ladder level, accumulated between consecutive
-  /// check_once clocks (so units are whatever clock drives the checks:
-  /// ns from the background thread, synthetic units from tests).
-  std::uint64_t dwell_ns[4] = {0, 0, 0, 0};
-};
+/// The watchdog's ladder: the configured streaks and no probation.
+Ladder watchdog_ladder(const WatchdogConfig& config);
 
 class HeaterWatchdog {
  public:
@@ -95,36 +90,26 @@ class HeaterWatchdog {
   /// budget/ceiling (and resume it if the watchdog paused it).
   void reset();
 
-  int level() const { return level_.load(std::memory_order_acquire); }
-  WatchdogStats stats() const;
+  /// Dwell is in check_once clock units: ns from the background thread,
+  /// synthetic units from tests.
+  DegradationStats stats() const;
+  int level() const { return stats().level; }
 
  private:
   void thread_main();
-  /// Apply one ladder level's levers to the heater. Policy state is
-  /// mutated, so the policy lock must be held.
+  Health observe_locked(std::uint64_t now_ns) const REQUIRES(policy_mutex_);
+  /// Apply one ladder level's levers to the heater.
   void apply_level_locked(int level) REQUIRES(policy_mutex_);
 
   hotcache::HeaterThread& heater_;
   WatchdogConfig config_;
   std::size_t configured_budget_;  // heater budget captured at construction
 
-  Mutex policy_mutex_;  // serializes check_once/reset/apply
-  // Staleness reference before pass #1.
+  mutable Mutex policy_mutex_;  // serializes check_once/reset/stats
+  Ladder ladder_ GUARDED_BY(policy_mutex_);
+  // Staleness reference while no pass has completed; reset on resuming.
   std::uint64_t baseline_ns_ GUARDED_BY(policy_mutex_) = 0;
-  // Previous check's clock — the per-level dwell accumulator's edge.
-  std::uint64_t last_check_ns_ GUARDED_BY(policy_mutex_) = 0;
-  std::uint32_t stale_streak_ GUARDED_BY(policy_mutex_) = 0;
-  std::uint32_t healthy_streak_ GUARDED_BY(policy_mutex_) = 0;
-  // Checks spent at L3.
-  std::uint32_t probation_checks_ GUARDED_BY(policy_mutex_) = 0;
   bool paused_by_watchdog_ GUARDED_BY(policy_mutex_) = false;
-
-  std::atomic<int> level_{0};
-  std::atomic<std::uint64_t> checks_{0};
-  std::atomic<std::uint64_t> stale_checks_{0};
-  std::atomic<std::uint64_t> degradations_{0};
-  std::atomic<std::uint64_t> recoveries_{0};
-  std::atomic<std::uint64_t> dwell_ns_[4] = {};
 
   std::thread thread_;
   std::atomic<bool> running_{false};
@@ -133,4 +118,4 @@ class HeaterWatchdog {
   CondVar wake_cv_;
 };
 
-}  // namespace semperm::fault
+}  // namespace semperm::resilience

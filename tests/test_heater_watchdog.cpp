@@ -1,11 +1,11 @@
 // The heater watchdog (DESIGN.md §12.3): deterministic ladder walks
 // driven by synthetic clocks, seeded stall detection through the
-// fault-injection seam, recovery-by-probation from the self-paused
-// level, the region-priority degradation lever, and a race test of
+// fault-injection seam, resuming the self-paused heater at L2, the
+// region-priority degradation lever, and a race test of
 // pause()/resume()/watchdog policy against concurrent registry mutation
 // (run it under TSan to validate the synchronisation).
 
-#include "fault/heater_watchdog.hpp"
+#include "resilience/heater_watchdog.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,12 @@
 #include "hotcache/region_registry.hpp"
 #include "obs/metrics.hpp"
 
-namespace semperm::fault {
+namespace semperm::resilience {
 namespace {
 
+using fault::FaultInjector;
+using fault::FaultPlan;
+using fault::kFaultEnabled;
 using hotcache::HeaterConfig;
 using hotcache::HeaterThread;
 using hotcache::RegionRegistry;
@@ -78,9 +81,9 @@ TEST(HeaterWatchdog, DegradationLadderWalksUpUnderStaleness) {
 
   const auto s = dog.stats();
   EXPECT_EQ(s.level, 3);
-  EXPECT_EQ(s.degradations, 3u);
+  EXPECT_EQ(s.escalations, 3u);
   EXPECT_EQ(s.checks, 6u);
-  EXPECT_EQ(s.stale_checks, 6u);
+  EXPECT_EQ(s.unhealthy_checks, 6u);
 }
 
 TEST(HeaterWatchdog, RecoversByProbationThenWalksDown) {
@@ -142,18 +145,18 @@ TEST(HeaterWatchdog, DwellAccountingAndRecoveryMetrics) {
   EXPECT_EQ(dog.check_once(base + 90), 2);
 
   const auto s = dog.stats();
-  EXPECT_EQ(s.dwell_ns[0], 0u);  // escalated away within the first check
-  EXPECT_EQ(s.dwell_ns[1], 10u);
-  EXPECT_EQ(s.dwell_ns[2], 20u);
-  EXPECT_EQ(s.dwell_ns[3], 60u);
+  EXPECT_EQ(s.dwell[0], 0u);  // escalated away within the first check
+  EXPECT_EQ(s.dwell[1], 10u);
+  EXPECT_EQ(s.dwell[2], 20u);
+  EXPECT_EQ(s.dwell[3], 60u);
   // PR 10 satellite: recoveries and degradations surface in the process
   // registry (the bench --json funnel embeds it in every report).
   EXPECT_EQ(reg.counter("heater.watchdog.recoveries").value(),
             recoveries_before + s.recoveries);
   EXPECT_EQ(reg.counter("heater.watchdog.degradations").value(),
-            degradations_before + s.degradations);
+            degradations_before + s.escalations);
   EXPECT_EQ(s.recoveries, 1u);  // the probation resume
-  EXPECT_EQ(s.degradations, 3u);
+  EXPECT_EQ(s.escalations, 3u);
   // The dwell gauges mirror the per-level accumulators.
   EXPECT_EQ(reg.gauge("heater.watchdog.dwell_ns_l3").value(), 60.0);
 }
@@ -168,7 +171,7 @@ TEST(HeaterWatchdog, ExternalPauseIsNotTheWatchdogsBusiness) {
   const std::uint64_t stale_now =
       dh.heater.last_pass_end_ns() + wc.stale_threshold_ns + 1;
   for (int i = 0; i < 5; ++i) EXPECT_EQ(dog.check_once(stale_now), 0);
-  EXPECT_EQ(dog.stats().degradations, 0u);
+  EXPECT_EQ(dog.stats().escalations, 0u);
   dh.heater.resume();
 }
 
@@ -222,7 +225,7 @@ TEST(HeaterWatchdog, SeededStallIsDetectedAndDegrades) {
   heater.stop();
   EXPECT_TRUE(degraded);
   EXPECT_GT(heater.stats().stalled_passes, 0u);
-  EXPECT_GT(dog.stats().stale_checks, 0u);
+  EXPECT_GT(dog.stats().unhealthy_checks, 0u);
 }
 
 TEST(HeaterWatchdog, PauseResumeRacesRegistryMutation) {
@@ -316,4 +319,4 @@ TEST(RegionPriority, BudgetOverrideBoundsThePass) {
 }
 
 }  // namespace
-}  // namespace semperm::fault
+}  // namespace semperm::resilience

@@ -1,88 +1,96 @@
-#include "memlayout/pool.hpp"
+#include "memlayout/block_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
+#include <stdexcept>
 #include <vector>
-
-#include "memlayout/block_pool.hpp"
 
 namespace semperm::memlayout {
 namespace {
 
-struct Item {
-  std::uint64_t payload[8];
-};
-
-TEST(Pool, SequentialPolicyHandsOutAscendingAddresses) {
+TEST(BlockPool, SequentialPolicyHandsOutAscendingAddresses) {
   AddressSpace space;
   Arena arena(space, 1 << 16);
-  Pool<Item> pool(arena, AddressPolicy::kSequential, /*chunk_slots=*/32);
-  Item* prev = pool.acquire();
+  BlockPool pool(arena, 64, 64, AddressPolicy::kSequential,
+                 /*chunk_blocks=*/32);
+  char* prev = static_cast<char*>(pool.acquire());
   for (int i = 0; i < 31; ++i) {
-    Item* next = pool.acquire();
+    char* next = static_cast<char*>(pool.acquire());
     EXPECT_GT(next, prev);
     prev = next;
   }
 }
 
-TEST(Pool, ScatteredPolicyShufflesAddresses) {
+TEST(BlockPool, ScatteredPolicyShufflesAddresses) {
   AddressSpace space;
   Arena arena(space, 1 << 16);
-  Pool<Item> pool(arena, AddressPolicy::kScattered, /*chunk_slots=*/64);
-  std::vector<Item*> ptrs;
-  for (int i = 0; i < 64; ++i) ptrs.push_back(pool.acquire());
-  EXPECT_FALSE(std::is_sorted(ptrs.begin(), ptrs.end()));
-  // Still 64 distinct slots.
-  std::set<Item*> unique(ptrs.begin(), ptrs.end());
+  BlockPool pool(arena, 64, 64, AddressPolicy::kScattered,
+                 /*chunk_blocks=*/64);
+  std::vector<void*> blocks;
+  for (int i = 0; i < 64; ++i) blocks.push_back(pool.acquire());
+  EXPECT_FALSE(std::is_sorted(blocks.begin(), blocks.end()));
+  // Still 64 distinct blocks.
+  std::set<void*> unique(blocks.begin(), blocks.end());
   EXPECT_EQ(unique.size(), 64u);
 }
 
-TEST(Pool, ReleaseRecyclesMemory) {
+TEST(BlockPool, ReleaseRecyclesMemory) {
   AddressSpace space;
   Arena arena(space, 1 << 12);
-  Pool<Item> pool(arena, AddressPolicy::kSequential, /*chunk_slots=*/4);
-  Item* a = pool.acquire();
+  BlockPool pool(arena, 64, 64, AddressPolicy::kSequential,
+                 /*chunk_blocks=*/4);
+  void* a = pool.acquire();
+  void* b = pool.acquire();
   pool.release(a);
-  Item* b = pool.acquire();
-  EXPECT_EQ(a, b);  // LIFO reuse
-  EXPECT_EQ(pool.live(), 1u);
+  pool.release(b);
+  EXPECT_EQ(pool.acquire(), b);  // LIFO reuse
+  EXPECT_EQ(pool.acquire(), a);
+  EXPECT_EQ(pool.live(), 2u);
 }
 
-TEST(Pool, LiveAndCarvedAccounting) {
+TEST(BlockPool, LiveAndCarvedAccounting) {
   AddressSpace space;
   Arena arena(space, 1 << 14);
-  Pool<Item> pool(arena, AddressPolicy::kSequential, /*chunk_slots=*/8);
-  std::vector<Item*> held;
+  BlockPool pool(arena, 64, 64, AddressPolicy::kSequential,
+                 /*chunk_blocks=*/8);
+  std::vector<void*> held;
   for (int i = 0; i < 10; ++i) held.push_back(pool.acquire());
   EXPECT_EQ(pool.live(), 10u);
   EXPECT_EQ(pool.carved(), 16u);  // two chunks of 8
-  for (auto* p : held) pool.release(p);
+  for (void* p : held) pool.release(p);
   EXPECT_EQ(pool.live(), 0u);
   EXPECT_EQ(pool.carved(), 16u);  // never returned to the arena
 }
 
-TEST(Pool, ForeignReleaseThrows) {
+TEST(BlockPool, ForeignReleaseThrows) {
   AddressSpace space;
   Arena arena(space, 1 << 12);
-  Pool<Item> pool(arena, AddressPolicy::kSequential);
-  Item foreign;
-  EXPECT_THROW(pool.release(&foreign), std::logic_error);
+  BlockPool pool(arena, 64, 64, AddressPolicy::kSequential);
+  alignas(64) std::byte foreign[64];
+  EXPECT_THROW(pool.release(foreign), std::logic_error);
 }
 
-TEST(Pool, DeterministicScatterPerSeed) {
-  AddressSpace s1, s2;
-  Arena a1(s1, 1 << 14), a2(s2, 1 << 14);
-  Pool<Item> p1(a1, AddressPolicy::kScattered, 32, 99);
-  Pool<Item> p2(a2, AddressPolicy::kScattered, 32, 99);
+TEST(BlockPool, DeterministicScatterPerSeed) {
+  AddressSpace s1, s2, s3;
+  Arena a1(s1, 1 << 14), a2(s2, 1 << 14), a3(s3, 1 << 14);
+  BlockPool p1(a1, 64, 64, AddressPolicy::kScattered, 32, 99);
+  BlockPool p2(a2, 64, 64, AddressPolicy::kScattered, 32, 99);
+  BlockPool p3(a3, 64, 64, AddressPolicy::kScattered, 32, 100);
+  bool other_seed_differs = false;
   for (int i = 0; i < 32; ++i) {
-    const auto off1 = reinterpret_cast<char*>(p1.acquire()) -
+    const auto off1 = static_cast<char*>(p1.acquire()) -
                       static_cast<const char*>(a1.buffer_base());
-    const auto off2 = reinterpret_cast<char*>(p2.acquire()) -
+    const auto off2 = static_cast<char*>(p2.acquire()) -
                       static_cast<const char*>(a2.buffer_base());
+    const auto off3 = static_cast<char*>(p3.acquire()) -
+                      static_cast<const char*>(a3.buffer_base());
     EXPECT_EQ(off1, off2);
+    other_seed_differs |= off1 != off3;
   }
+  EXPECT_TRUE(other_seed_differs);
 }
 
 TEST(BlockPool, RoundsBlockSizeToAlignment) {

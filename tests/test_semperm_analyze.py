@@ -31,6 +31,11 @@ EXPECTED = {
     "src/cachesim/uses_wall_clock.cpp": {
         "determinism-wall-clock": 3,
     },
+    # The degradation ladder runs inside run_steering's simulated world:
+    # an untagged native clock read there must be flagged.
+    "src/resilience/ladder_wall_clock.cpp": {
+        "determinism-wall-clock": 1,
+    },
     "src/cachesim/unseeded_rng.cpp": {
         "determinism-unseeded-rng": 3,
     },

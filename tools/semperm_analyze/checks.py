@@ -46,6 +46,7 @@ ALL_CHECKS = (
 # pure function of its explicit seeds and clocks.
 SIM_DIR_FRAGMENTS = (
     "src/cachesim", "src/coherence", "src/traffic", "src/simmpi", "src/fault",
+    "src/resilience",
 )
 
 _CLOCK_NAMES = {"steady_clock", "system_clock", "high_resolution_clock"}
