@@ -17,6 +17,10 @@
 //                            whole-cache work per phase shows up here
 //   coherent_4core_mix       4-core CoherentHierarchy, private streams plus
 //                            a shared region with stores (MESI traffic)
+//   match_list_walk          the app model's baseline match list: Broadwell
+//                            Hierarchy, a 24 MiB compute phase, then lines
+//                            0 and 3 of 1024 256-byte nodes through
+//                            access() in a fixed scattered order
 //
 // The l1_hit_stream / l1_hit_stream_reference pair embeds the rewrite's
 // acceptance ratio ("speedup_vs_reference" in the JSON metrics). Writes
@@ -24,11 +28,13 @@
 // job compares it against bench/BENCH_cachesim.baseline.json.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.hpp"
 #include "cachesim/arch.hpp"
@@ -36,6 +42,7 @@
 #include "cachesim/hierarchy.hpp"
 #include "coherence/coherent_hierarchy.hpp"
 #include "common/addr_source.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -210,6 +217,33 @@ Score run_coherent_4core_mix(int reps) {
   return s;
 }
 
+Score run_match_list_walk(int reps) {
+  // One message of the app model over a baseline (linked-list) queue: a
+  // compute phase wrecks L1/L2 and trims the LLC, then the search reads
+  // each node's envelope (line 0) and its link (line 3). Nodes sit where a
+  // scattered allocator put them, so the walk defeats the streamer and
+  // every line pays the full miss path: probes, demand fills, prefetches.
+  cachesim::Hierarchy h(cachesim::broadwell());
+  constexpr std::size_t kNodes = 1024;
+  constexpr Addr kNodeBytes = 256;
+  std::array<Addr, kNodes> order;
+  for (std::size_t i = 0; i < kNodes; ++i) order[i] = i;
+  Rng rng(0x11f7);
+  for (std::size_t i = kNodes - 1; i > 0; --i)
+    std::swap(order[i], order[rng.below(i + 1)]);
+  Score s = timed(2 * kNodes, reps, [&] {
+    h.pollute(std::size_t{24} << 20);
+    std::uint64_t cycles = 0;
+    for (const Addr node : order) {
+      cycles += h.access(node * kNodeBytes, 8);
+      cycles += h.access(node * kNodeBytes + 3 * kCacheLine, 8);
+    }
+    return cycles;
+  });
+  s.sim_miss_rate = 1.0 - h.level(h.level_count() - 1).stats().hit_rate();
+  return s;
+}
+
 }  // namespace
 }  // namespace semperm::bench
 
@@ -257,6 +291,7 @@ int main(int argc, char** argv) {
       {"prefetch_heavy", bench::run_prefetch_heavy, quick ? 20 : 200},
       {"llc_compute_phase", bench::run_llc_compute_phase, 2000},
       {"coherent_4core_mix", bench::run_coherent_4core_mix, quick ? 20 : 200},
+      {"match_list_walk", bench::run_match_list_walk, quick ? 200 : 2000},
   };
 
   // Which probe backend this binary measured: CI's perf-smoke job asserts

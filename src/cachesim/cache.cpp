@@ -207,6 +207,19 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::probe_fill(
   return fill_absent(s, tags, meta, line, reason, cls, dirty);
 }
 
+std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_missed(
+    std::size_t s, Addr line, FillReason reason, LineClass cls, bool dirty) {
+  Addr* tags = set_tags(s);
+  Meta* meta = set_meta(s);
+  SEMPERM_AUDIT_CHECK(s == set_index(line) &&
+                          find_way(tags, meta, line) == assoc_,
+                      name_ << " fill_missed: line " << line
+                            << " was handed set " << s
+                            << " but is resident or maps elsewhere");
+  SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
+  return fill_absent(s, tags, meta, line, reason, cls, dirty);
+}
+
 SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(Addr line,
                                                               FillReason reason,
                                                               LineClass cls,

@@ -121,7 +121,14 @@ class SetAssocCache {
   /// path, and keeping it visible lets access_batch() and the hierarchy's
   /// streaming loop collapse it into straight-line code.
   SEMPERM_HOT bool access(Addr line) {
-    const std::size_t s = set_index(line);
+    std::size_t set;
+    return access(line, set);
+  }
+
+  /// access() that also reports the set it walked, so that a miss can hand
+  /// it to fill_missed() and the demand fill does not walk it again.
+  SEMPERM_HOT bool access(Addr line, std::size_t& set) {
+    const std::size_t s = set = set_index(line);
     Addr* tags = set_tags(s);
     Meta* meta = set_meta(s);
     SEMPERM_AUDIT_ONLY(++audit_accesses_;)
@@ -199,6 +206,16 @@ class SetAssocCache {
   /// to count cold lines without probing the set twice.
   bool touch_fill(Addr line, FillReason reason,
                   LineClass cls = LineClass::kNormal);
+
+  /// fill_line() of a line whose demand access() just missed in `set`:
+  /// inserts without walking the set for the line again. The hole comes
+  /// from the ways live now, so the set may have lost lines since the miss
+  /// (a coherent back-invalidation); it must not have gained `line`, which
+  /// AUDIT builds check.
+  std::optional<EvictedWay> fill_missed(std::size_t set, Addr line,
+                                        FillReason reason,
+                                        LineClass cls = LineClass::kNormal,
+                                        bool dirty = false);
 
   /// Result of fill_line_if_absent: whether a fill happened, and the
   /// evicted way if it displaced one.
@@ -416,10 +433,10 @@ class SetAssocCache {
                                        LineClass cls, bool dirty,
                                        bool& resident);
 
-  /// Miss-path insertion shared by fill_line / fill_line_if_absent: counts
-  /// the fill, picks the hole (stale way or evicted victim), moves the new
-  /// line to the MRU slot. The caller has already established the line is
-  /// absent from the set.
+  /// Miss-path insertion shared by fill_line, fill_missed and
+  /// fill_line_if_absent: counts the fill, picks the hole (stale way or
+  /// evicted victim), moves the new line to the MRU slot. The caller has
+  /// already established the line is absent from the set.
   std::optional<EvictedWay> fill_absent(std::size_t s, Addr* tags, Meta* meta,
                                         Addr line, FillReason reason,
                                         LineClass cls, bool dirty);

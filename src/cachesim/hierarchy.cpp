@@ -1,5 +1,6 @@
 #include "cachesim/hierarchy.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -67,10 +68,16 @@ Cycles Hierarchy::access_line(Addr line, bool write) {
   const bool network = !network_ranges_.empty() && is_network_line(line);
   const LineClass cls = network ? LineClass::kNetwork : LineClass::kNormal;
 
+  // Each probe that misses reports the set it walked: the demand fill of
+  // that level inserts there without walking again. Until the fills, the
+  // only change to a missed level is mark_dirty of another line.
+  std::size_t net_set = 0;
+  std::array<std::size_t, kMaxLevels> missed_set{};
+
   // Network lines are served by the dedicated network cache when one is
   // configured — it sits beside the L1 and ordinary traffic never touches
   // it (the paper's posited "network specific cache").
-  if (network && netcache_ != nullptr && netcache_->access(line)) {
+  if (network && netcache_ != nullptr && netcache_->access(line, net_set)) {
     if (write) netcache_->mark_dirty(line);
     stats_.total_cycles += arch_.network_cache.hit_latency;
     SEMPERM_TRACE_CLOCK_ADVANCE(arch_.network_cache.hit_latency);
@@ -82,7 +89,7 @@ Cycles Hierarchy::access_line(Addr line, bool write) {
   unsigned serving_level = level_count();  // == level_count() means DRAM
   const unsigned first_level = (network && netcache_ != nullptr) ? 1u : 0u;
   for (unsigned lvl = first_level; lvl < level_count(); ++lvl) {
-    if (levels_[lvl].access(line)) {
+    if (levels_[lvl].access(line, missed_set[lvl])) {
       serving_level = lvl;
       cost = level_latency_[lvl];
       break;
@@ -103,13 +110,14 @@ Cycles Hierarchy::access_line(Addr line, bool write) {
   // resident there; otherwise the writeback drains to DRAM).
   for (unsigned lvl = first_level; lvl < serving_level && lvl < level_count();
        ++lvl) {
-    const auto evicted = levels_[lvl].fill_line(line, FillReason::kDemand, cls);
+    const auto evicted = levels_[lvl].fill_missed(missed_set[lvl], line,
+                                                  FillReason::kDemand, cls);
     if (evicted && evicted->dirty && lvl + 1 < level_count())
       levels_[lvl + 1].mark_dirty(evicted->line);
   }
   if (network && netcache_ != nullptr)
-    netcache_->fill_line(line, FillReason::kDemand, LineClass::kNetwork,
-                         write);
+    netcache_->fill_missed(net_set, line, FillReason::kDemand,
+                           LineClass::kNetwork, write);
 
   if (write) {
     // Mark dirty at the level closest to the core now holding the line.
@@ -131,12 +139,11 @@ Cycles Hierarchy::access_line(Addr line, bool write) {
 }
 
 void Hierarchy::run_prefetchers(const AccessObservation& obs) {
-  scratch_requests_.clear();
-  if (arch_.prefetch.l1_next_line) next_line_.observe(obs, scratch_requests_);
-  if (arch_.prefetch.l2_adjacent_pair)
-    adjacent_pair_.observe(obs, scratch_requests_);
-  if (arch_.prefetch.l2_streamer) streamer_.observe(obs, scratch_requests_);
-  for (const auto& req : scratch_requests_) prefetch_fill(req);
+  // Each request fills as its unit emits it (prefetch.hpp).
+  const auto fill = [this](const PrefetchRequest& req) { prefetch_fill(req); };
+  if (arch_.prefetch.l1_next_line) next_line_.observe(obs, fill);
+  if (arch_.prefetch.l2_adjacent_pair) adjacent_pair_.observe(obs, fill);
+  if (arch_.prefetch.l2_streamer) streamer_.observe(obs, fill);
 }
 
 void Hierarchy::prefetch_fill(const PrefetchRequest& req) {

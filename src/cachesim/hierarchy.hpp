@@ -159,6 +159,8 @@ class Hierarchy {
     Addr last_line;
   };
 
+  static constexpr unsigned kMaxLevels = 3;  // L1, L2 and an optional L3
+
   ArchProfile arch_;
   std::vector<SetAssocCache> levels_;  // [0]=L1, [1]=L2, [2]=L3 (optional)
   std::vector<Cycles> level_latency_;
@@ -167,7 +169,6 @@ class Hierarchy {
   NextLinePrefetcher next_line_;
   AdjacentPairPrefetcher adjacent_pair_;
   StreamPrefetcher streamer_;
-  std::vector<PrefetchRequest> scratch_requests_;
   mutable HierarchyStats stats_;  // mutable: stats() refreshes .levels
 };
 

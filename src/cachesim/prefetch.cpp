@@ -1,34 +1,10 @@
 #include "cachesim/prefetch.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/assert.hpp"
-#include "common/simd.hpp"
 
 namespace semperm::cachesim {
-
-namespace {
-constexpr Addr kLinesPerPage = 4096 / kCacheLine;  // 64 lines per 4 KiB page
-constexpr Addr page_of_line(Addr line) { return line / kLinesPerPage; }
-}  // namespace
-
-void NextLinePrefetcher::observe(const AccessObservation& obs,
-                                 std::vector<PrefetchRequest>& out) const {
-  // The DCU unit is conservative: it fetches the next line within the same
-  // page. It fires on every access (hit or miss) — sequential hits keep the
-  // line ahead of the consumer.
-  const Addr next = obs.line + 1;
-  if (page_of_line(next) == page_of_line(obs.line))
-    out.push_back(PrefetchRequest{next, /*target_level=*/0});
-}
-
-void AdjacentPairPrefetcher::observe(const AccessObservation& obs,
-                                     std::vector<PrefetchRequest>& out) const {
-  // Fires on L2 misses only: completes the aligned 128-byte pair.
-  if (obs.l1_hit || obs.l2_hit) return;
-  out.push_back(PrefetchRequest{obs.line ^ 1, /*target_level=*/1});
-}
 
 namespace {
 /// Packed order word with nibble p holding slot id p: 0xFEDC...3210
@@ -73,46 +49,13 @@ void StreamPrefetcher::touch(std::size_t s) {
   order_ = below | above | (std::uint64_t{s} << top);
 }
 
-void StreamPrefetcher::observe(const AccessObservation& obs,
-                               std::vector<PrefetchRequest>& out) {
-  const Addr page = page_of_line(obs.line);
-  // Packed probe over the page-tag array; first-match index, same slot the
-  // old struct scan would have stopped at.
-  const std::size_t i = simd::find_u64(pages_.data(), pages_.size(), page);
-  if (i == pages_.size()) {
-    // Allocate a new stream over the LRU slot — the low nibble of the
-    // packed order — then rotate it to the MRU end.
-    const std::size_t v = static_cast<std::size_t>(order_ & 0xF);
-    pages_[v] = page;
-    table_[v] = Stream{obs.line, 0, 1};
-    touch(v);
-    return;
-  }
-  Stream& match = table_[i];
-  touch(i);
-  if (obs.line == match.last_line) return;  // same line again: no signal
-  if (obs.line == match.last_line + 1) {
-    match.run += 1;
-  } else if (obs.line > match.last_line && obs.line - match.last_line <= 2) {
-    // Small forward skips keep the stream alive but do not extend the run.
-  } else {
-    match.run = 1;        // direction break: re-arm
-    match.next_issue = 0;  // the fresh run gets its full window again
-  }
-  match.last_line = obs.line;
-  if (match.run >= trigger_) {
-    // Issue only lines the run has not requested yet: from the issue
-    // pointer (or the line after the access, whichever is further) up to
-    // `degree` ahead, clipped at the page edge.
-    Addr ahead = obs.line + 1;
-    if (match.next_issue > ahead) ahead = match.next_issue;
-    const Addr limit = obs.line + degree_;
-    for (; ahead <= limit; ++ahead) {
-      if (page_of_line(ahead) != page) break;  // streamer stops at page edge
-      out.push_back(PrefetchRequest{ahead, /*target_level=*/1});
-    }
-    match.next_issue = ahead;
-  }
+void StreamPrefetcher::allocate(Addr line) {
+  // The LRU slot is the low nibble of the packed order; the new stream
+  // rotates it to the MRU end.
+  const std::size_t v = static_cast<std::size_t>(order_ & 0xF);
+  pages_[v] = page_of_line(line);
+  table_[v] = Stream{line, 0, 1};
+  touch(v);
 }
 
 void StreamPrefetcher::reset() {

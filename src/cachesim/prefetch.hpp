@@ -13,15 +13,24 @@
 //    within a 4 KiB page and prefetches up to `degree` lines ahead.
 //
 // Prefetchers suggest lines; the Hierarchy performs the fills and tracks
-// coverage statistics.
+// coverage statistics. Each unit's observe(obs, emit) hands every request
+// to the caller's `emit(const PrefetchRequest&)` as it makes it, so the
+// fill runs at once and no request list is built. A unit reads only the
+// observation and its own state, and no fill touches a unit's state, so
+// the fills run in the order a collect-then-fill loop would run them.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace semperm::cachesim {
+
+/// Prefetch units work within 4 KiB pages: 64 lines.
+inline constexpr Addr kLinesPerPage = 4096 / kCacheLine;
+constexpr Addr page_of_line(Addr line) { return line / kLinesPerPage; }
 
 /// A prefetch suggestion: which line, into which level (0 = L1, 1 = L2...).
 struct PrefetchRequest {
@@ -39,13 +48,26 @@ struct AccessObservation {
 /// L1 DCU next-line unit.
 class NextLinePrefetcher {
  public:
-  void observe(const AccessObservation& obs, std::vector<PrefetchRequest>& out) const;
+  template <class Emit>
+  void observe(const AccessObservation& obs, Emit&& emit) const {
+    // The DCU unit is conservative: it fetches the next line within the
+    // same page. It fires on every access (hit or miss) — sequential hits
+    // keep the line ahead of the consumer.
+    const Addr next = obs.line + 1;
+    if (page_of_line(next) == page_of_line(obs.line))
+      emit(PrefetchRequest{next, /*target_level=*/0});
+  }
 };
 
 /// L2 adjacent-pair ("spatial") unit: completes the 128-byte aligned pair.
 class AdjacentPairPrefetcher {
  public:
-  void observe(const AccessObservation& obs, std::vector<PrefetchRequest>& out) const;
+  template <class Emit>
+  void observe(const AccessObservation& obs, Emit&& emit) const {
+    // Fires on L2 misses only: completes the aligned 128-byte pair.
+    if (obs.l1_hit || obs.l2_hit) return;
+    emit(PrefetchRequest{obs.line ^ 1, /*target_level=*/1});
+  }
 };
 
 /// L2 streamer: per-4KiB-page ascending-run detector.
@@ -62,7 +84,42 @@ class StreamPrefetcher {
   /// ahead once armed; `table_size` = number of concurrent streams tracked.
   StreamPrefetcher(unsigned trigger, unsigned degree, std::size_t table_size = 16);
 
-  void observe(const AccessObservation& obs, std::vector<PrefetchRequest>& out);
+  template <class Emit>
+  void observe(const AccessObservation& obs, Emit&& emit) {
+    const Addr page = page_of_line(obs.line);
+    // Packed probe over the page-tag array; first-match index, same slot
+    // the old struct scan would have stopped at.
+    const std::size_t i = simd::find_u64(pages_.data(), pages_.size(), page);
+    if (i == pages_.size()) {
+      allocate(obs.line);
+      return;
+    }
+    Stream& match = table_[i];
+    touch(i);
+    if (obs.line == match.last_line) return;  // same line again: no signal
+    if (obs.line == match.last_line + 1) {
+      match.run += 1;
+    } else if (obs.line > match.last_line && obs.line - match.last_line <= 2) {
+      // Small forward skips keep the stream alive but do not extend the run.
+    } else {
+      match.run = 1;         // direction break: re-arm
+      match.next_issue = 0;  // the fresh run gets its full window again
+    }
+    match.last_line = obs.line;
+    if (match.run >= trigger_) {
+      // Issue only lines the run has not requested yet: from the issue
+      // pointer (or the line after the access, whichever is further) up to
+      // `degree` ahead, clipped at the page edge.
+      Addr ahead = obs.line + 1;
+      if (match.next_issue > ahead) ahead = match.next_issue;
+      const Addr limit = obs.line + degree_;
+      for (; ahead <= limit; ++ahead) {
+        if (page_of_line(ahead) != page) break;  // stops at the page edge
+        emit(PrefetchRequest{ahead, /*target_level=*/1});
+      }
+      match.next_issue = ahead;
+    }
+  }
 
   void reset();
 
@@ -75,6 +132,8 @@ class StreamPrefetcher {
 
   /// Move slot `s` to the most-recently-used end of the packed order.
   void touch(std::size_t s);
+  /// Start a stream at `line` over the least-recently-used slot.
+  void allocate(Addr line);
 
   unsigned trigger_;
   unsigned degree_;

@@ -221,12 +221,16 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
   // Serving levels: 0=L1, 1=L2, 2=shared LLC, >=count means DRAM/remote.
   const unsigned level_cnt = llc_ ? 3u : 2u;
   unsigned serving = level_cnt;
+  // The sets the private probes walked, for their demand fills
+  // (cache.hpp fill_missed).
+  std::size_t l1_set = 0;
+  std::size_t l2_set = 0;
 
-  if (cs.l1.access(line)) {
+  if (cs.l1.access(line, l1_set)) {
     serving = 0;
     cost = arch_.l1.hit_latency;
     SEMPERM_PROF_ADD(kL1Probe, cost);
-  } else if (cs.l2.access(line)) {
+  } else if (cs.l2.access(line, l2_set)) {
     serving = 1;
     cost = arch_.l2.hit_latency;
     SEMPERM_PROF_ADD(kL2Probe, cost);
@@ -335,16 +339,16 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
   obs.l2_hit = (serving == 1);
 
   // Fill the private levels closer to the core than the serving level,
-  // exactly as the single-core Hierarchy does.
+  // exactly as the single-core Hierarchy does, into the sets their probes
+  // missed in. A back-invalidation above may have emptied other ways of
+  // those sets since; the fill takes its hole from the ways live now.
   if (serving > 0) {
     // L1 before L2, matching the single-core fill loop: the L1 victim's
     // dirty bit must land on its L2 copy before L2's own fill can evict it.
-    const auto ev =
-        cs.l1.fill_line(line, FillReason::kDemand, LineClass::kNormal, false);
+    const auto ev = cs.l1.fill_missed(l1_set, line, FillReason::kDemand);
     if (ev) on_private_evict(core, 0, *ev, /*propagate_dirty=*/true);
     if (serving > 1) {
-      const auto ev2 = cs.l2.fill_line(line, FillReason::kDemand,
-                                       LineClass::kNormal, false);
+      const auto ev2 = cs.l2.fill_missed(l2_set, line, FillReason::kDemand);
       if (ev2) on_private_evict(core, 1, *ev2, /*propagate_dirty=*/true);
     }
   }
@@ -380,12 +384,13 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
 void CoherentHierarchy::run_prefetchers(unsigned core,
                                         const AccessObservation& obs) {
   CoreStack& cs = cores_[core];
-  cs.scratch.clear();
-  if (arch_.prefetch.l1_next_line) cs.next_line.observe(obs, cs.scratch);
-  if (arch_.prefetch.l2_adjacent_pair)
-    cs.adjacent_pair.observe(obs, cs.scratch);
-  if (arch_.prefetch.l2_streamer) cs.streamer.observe(obs, cs.scratch);
-  for (const auto& req : cs.scratch) prefetch_fill(core, req);
+  // Each request fills as its unit emits it (prefetch.hpp).
+  const auto fill = [this, core](const PrefetchRequest& req) {
+    prefetch_fill(core, req);
+  };
+  if (arch_.prefetch.l1_next_line) cs.next_line.observe(obs, fill);
+  if (arch_.prefetch.l2_adjacent_pair) cs.adjacent_pair.observe(obs, fill);
+  if (arch_.prefetch.l2_streamer) cs.streamer.observe(obs, fill);
 }
 
 void CoherentHierarchy::prefetch_fill(unsigned core,

@@ -150,7 +150,6 @@ class CoherentHierarchy {
     cachesim::NextLinePrefetcher next_line;
     cachesim::AdjacentPairPrefetcher adjacent_pair;
     cachesim::StreamPrefetcher streamer;
-    std::vector<cachesim::PrefetchRequest> scratch;
     mutable cachesim::HierarchyStats stats;
 
     CoreStack(const ArchProfile& a);

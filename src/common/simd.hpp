@@ -32,8 +32,10 @@
 // First-match semantics are exact: the vector loops reduce each block to
 // a lane bitmask and take the lowest set bit, which is the same way the
 // scalar loop would have returned. Stale-epoch holes may carry duplicate
-// tags (DESIGN.md §6), so the predicate mask is part of the probe, not a
-// post-filter.
+// tags (DESIGN.md §15.1), so the predicate mask is part of the probe, not
+// a post-filter. The AVX2 and SSE2 backends test tag equality and the
+// predicate together in each block, with no branch per tag candidate; the
+// NEON backend still checks the predicate per candidate lane.
 #pragma once
 
 #include <bit>
@@ -124,20 +126,22 @@ inline std::size_t find_tag_masked(const std::uint64_t* tags,
                                    std::uint64_t tag, std::uint64_t meta_mask,
                                    std::uint64_t meta_want) {
   const __m256i vtag = _mm256_set1_epi64x(static_cast<long long>(tag));
+  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(meta_mask));
+  const __m256i vwant = _mm256_set1_epi64x(static_cast<long long>(meta_want));
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    // Tags first: candidates are rare (at most one live match plus stale
-    // duplicates), so the metadata predicate is verified per candidate
-    // lane in ascending order — first-match semantics are preserved.
+    // Tag and predicate in one pass: the lowest lane satisfying both is
+    // the first match, whatever stale duplicates of the tag precede it.
     const __m256i t =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + i));
-    auto bits = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(t, vtag))));
-    while (bits != 0) {
-      const std::size_t j = i + static_cast<std::size_t>(std::countr_zero(bits));
-      if ((meta[j] & meta_mask) == meta_want) return j;
-      bits &= bits - 1;
-    }
+    const __m256i m =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(meta + i));
+    const __m256i hit =
+        _mm256_and_si256(_mm256_cmpeq_epi64(t, vtag),
+                         _mm256_cmpeq_epi64(_mm256_and_si256(m, vmask), vwant));
+    const auto bits = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(hit)));
+    if (bits != 0) return i + static_cast<std::size_t>(std::countr_zero(bits));
   }
   for (; i < n; ++i)
     if (tags[i] == tag && (meta[i] & meta_mask) == meta_want) return i;
@@ -182,45 +186,38 @@ inline __m128i cmpeq64(__m128i a, __m128i b) {
 }
 }  // namespace detail
 
+namespace detail {
+/// Lanes of a 2-lane block satisfying tags[i] == tag and
+/// (meta[i] & mask) == want, as a 2-bit movemask.
+inline unsigned match2(const std::uint64_t* tags, const std::uint64_t* meta,
+                       __m128i vtag, __m128i vmask, __m128i vwant) {
+  const __m128i t = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
+  const __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(meta));
+  const __m128i hit = _mm_and_si128(
+      cmpeq64(t, vtag), cmpeq64(_mm_and_si128(m, vmask), vwant));
+  return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(hit)));
+}
+}  // namespace detail
+
 inline std::size_t find_tag_masked(const std::uint64_t* tags,
                                    const std::uint64_t* meta, std::size_t n,
                                    std::uint64_t tag, std::uint64_t meta_mask,
                                    std::uint64_t meta_want) {
   const __m128i vtag = _mm_set1_epi64x(static_cast<long long>(tag));
+  const __m128i vmask = _mm_set1_epi64x(static_cast<long long>(meta_mask));
+  const __m128i vwant = _mm_set1_epi64x(static_cast<long long>(meta_want));
   std::size_t i = 0;
-  // Tags first, 4 lanes per branch (two 128-bit blocks): candidates are
-  // rare, so the metadata predicate is verified per candidate lane in
-  // ascending order — first-match semantics are preserved — and the
-  // emulated 64-bit compare runs once per block instead of twice.
+  // Tag and predicate in one pass, 4 lanes per branch (two 128-bit
+  // blocks): the lowest lane satisfying both is the first match.
   for (; i + 4 <= n; i += 4) {
-    const __m128i t0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + i));
-    const __m128i t1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + i + 2));
-    auto bits =
-        static_cast<unsigned>(
-            _mm_movemask_pd(_mm_castsi128_pd(detail::cmpeq64(t0, vtag)))) |
-        (static_cast<unsigned>(
-             _mm_movemask_pd(_mm_castsi128_pd(detail::cmpeq64(t1, vtag))))
-         << 2);
-    while (bits != 0) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(std::countr_zero(bits));
-      if ((meta[j] & meta_mask) == meta_want) return j;
-      bits &= bits - 1;
-    }
+    const unsigned bits =
+        detail::match2(tags + i, meta + i, vtag, vmask, vwant) |
+        (detail::match2(tags + i + 2, meta + i + 2, vtag, vmask, vwant) << 2);
+    if (bits != 0) return i + static_cast<std::size_t>(std::countr_zero(bits));
   }
   for (; i + 2 <= n; i += 2) {
-    const __m128i t =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + i));
-    auto bits = static_cast<unsigned>(
-        _mm_movemask_pd(_mm_castsi128_pd(detail::cmpeq64(t, vtag))));
-    while (bits != 0) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(std::countr_zero(bits));
-      if ((meta[j] & meta_mask) == meta_want) return j;
-      bits &= bits - 1;
-    }
+    const unsigned bits = detail::match2(tags + i, meta + i, vtag, vmask, vwant);
+    if (bits != 0) return i + static_cast<std::size_t>(std::countr_zero(bits));
   }
   if (i < n && tags[i] == tag && (meta[i] & meta_mask) == meta_want) return i;
   return n;

@@ -400,10 +400,13 @@ class ReferenceCoherentHierarchy {
   void run_prefetchers(unsigned core, const cachesim::AccessObservation& obs) {
     CoreStack& cs = cores_[core];
     cs.scratch.clear();
-    if (arch_.prefetch.l1_next_line) cs.next_line.observe(obs, cs.scratch);
+    const auto collect = [&cs](const cachesim::PrefetchRequest& req) {
+      cs.scratch.push_back(req);
+    };
+    if (arch_.prefetch.l1_next_line) cs.next_line.observe(obs, collect);
     if (arch_.prefetch.l2_adjacent_pair)
-      cs.adjacent_pair.observe(obs, cs.scratch);
-    if (arch_.prefetch.l2_streamer) cs.streamer.observe(obs, cs.scratch);
+      cs.adjacent_pair.observe(obs, collect);
+    if (arch_.prefetch.l2_streamer) cs.streamer.observe(obs, collect);
     for (const auto& req : cs.scratch) prefetch_fill(core, req);
   }
 

@@ -11,10 +11,14 @@
 //    *_scalar oracles over adversarial inputs (duplicate tags, dead
 //    epochs, every n from 1 to 24 so each backend exercises its vector
 //    body and its tail lanes);
+//  * stale duplicates: sets of 1 to 64 ways where stale copies of the
+//    probed tag sit before, after, or instead of the live way, each
+//    checked against the known answer;
 //  * whole-cache replay: SetAssocCache (whose find_way sits on the
 //    probes) against the pre-rewrite reference implementation across the
 //    four golden geometries — pow2, two fastmod-sliced shapes, and a way
-//    partition — under a probe-heavy operation mix.
+//    partition — under a probe-heavy operation mix, and after flushes
+//    that leave a stale duplicate of every line the next walk probes.
 //
 // CI runs the suite with the default backend and again with
 // -DSEMPERM_SIMD=OFF; both build the same test, so a divergence between
@@ -67,6 +71,50 @@ TEST(SimdPrimitives, FindTagMatchesScalarOracle) {
         simd::find_tag_masked_scalar(tags.data(), meta.data(), n, tag, mask,
                                      want))
         << "iter " << iter << " n " << n;
+  }
+}
+
+// flush() and pollute() leave stale ways that still carry the tags of the
+// lines the next message walks again, so a probe meets stale duplicates of
+// its tag before, after or instead of the live way. The answer is known:
+// the live way, or n when there is none. A probe that returned the first
+// tag match without its predicate would return a stale way here.
+TEST(SimdPrimitives, FindTagSkipsStaleDuplicates) {
+  constexpr std::uint64_t kEpochMask = ~std::uint64_t{0xFF};
+  constexpr std::uint64_t kLive = std::uint64_t{7} << 8;
+  constexpr std::uint64_t kStale = std::uint64_t{6} << 8;
+  constexpr std::uint64_t kTag = 0x5eed;
+  Rng rng(0x54);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    // live == n: only stale copies of the tag are left.
+    for (std::size_t live = 0; live <= n; ++live) {
+      // Stale copies: 0 every way before the live one, 1 every way after
+      // it, 2 every other way, 3 a random subset.
+      for (int shape = 0; shape < 4; ++shape) {
+        std::vector<std::uint64_t> tags(n), meta(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool stale = i != live && (shape == 0   ? i < live
+                                           : shape == 1 ? i > live
+                                           : shape == 2 ? true
+                                                        : rng.chance(0.5));
+          // Non-duplicate ways hold other lines, live or stale.
+          tags[i] = stale ? kTag : 1 + i;
+          meta[i] = (stale || rng.chance(0.5) ? kStale : kLive) | rng.below(16);
+        }
+        if (live < n) {
+          tags[live] = kTag;
+          meta[live] = kLive | rng.below(16);
+        }
+        EXPECT_EQ(simd::find_tag_masked(tags.data(), meta.data(), n, kTag,
+                                        kEpochMask, kLive),
+                  live)
+            << "n " << n << " live " << live << " shape " << shape;
+        EXPECT_EQ(simd::find_tag_masked_scalar(tags.data(), meta.data(), n,
+                                               kTag, kEpochMask, kLive),
+                  live)
+            << "n " << n << " live " << live << " shape " << shape;
+      }
+    }
   }
 }
 
@@ -178,6 +226,47 @@ TEST(SimdCacheEquivalence, ProbeTraceMatchesReferenceAcrossGeometries) {
   for (const Geometry& g : kGeometries)
     for (std::uint64_t seed = 1; seed <= 6; ++seed)
       replay_probe_trace(g, seed * 0x9d5);
+}
+
+// The app model's pattern: fill a set's every way, flush, then walk the
+// same lines again, missing and refilling. After each flush every way
+// holds a stale duplicate of a line the walk probes; part of the lines are
+// refilled before the walk, so live ways sit among the duplicates.
+TEST(SimdCacheEquivalence, FlushThenProbeSameLines) {
+  for (const unsigned assoc : {1u, 2u, 3u, 4u, 8u, 16u, 20u, 64u}) {
+    constexpr std::size_t kSets = 16;
+    SetAssocCache soa("soa", kSets * assoc * kCacheLine, assoc);
+    ReferenceSetAssocCache ref("ref", kSets * assoc * kCacheLine, assoc);
+    const Addr lines = kSets * assoc;
+    for (Addr l = 0; l < lines; ++l) {
+      soa.fill(l, FillReason::kDemand);
+      ref.fill(l, FillReason::kDemand);
+    }
+    for (Addr round = 0; round < 4; ++round) {
+      soa.flush();
+      ref.flush();
+      for (Addr l = round; l < lines; l += 3) {
+        soa.fill(l, FillReason::kDemand);
+        ref.fill(l, FillReason::kDemand);
+      }
+      for (Addr l = 0; l < lines; ++l) {
+        const Addr line = (l * 7 + round) % lines;
+        ASSERT_EQ(soa.contains(line), ref.contains(line))
+            << "assoc " << assoc << " round " << round << " line " << line;
+        const bool hit = soa.access(line);
+        ASSERT_EQ(hit, ref.access(line))
+            << "assoc " << assoc << " round " << round << " line " << line;
+        if (!hit) {
+          soa.fill(line, FillReason::kDemand);
+          ref.fill(line, FillReason::kDemand);
+        }
+      }
+      EXPECT_EQ(soa.resident_lines(), ref.resident_lines()) << assoc;
+      EXPECT_EQ(soa.stats().demand_hits, ref.stats().demand_hits) << assoc;
+      EXPECT_EQ(soa.stats().demand_misses, ref.stats().demand_misses)
+          << assoc;
+    }
+  }
 }
 
 }  // namespace
