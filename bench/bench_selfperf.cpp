@@ -24,8 +24,8 @@
 //
 // The l1_hit_stream / l1_hit_stream_reference pair embeds the rewrite's
 // acceptance ratio ("speedup_vs_reference" in the JSON metrics). Writes
-// BENCH_cachesim.json unless --json overrides the path; the CI perf-smoke
-// job compares it against bench/BENCH_cachesim.baseline.json.
+// BENCH_cachesim.json unless --json overrides the path; CI's perf-smoke
+// steps compare it against bench/BENCH_cachesim.baseline.json.
 
 #include <algorithm>
 #include <array>
@@ -33,15 +33,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "cachesim/arch.hpp"
 #include "cachesim/cache.hpp"
 #include "cachesim/hierarchy.hpp"
 #include "coherence/coherent_hierarchy.hpp"
-#include "common/addr_source.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "obs/profiler.hpp"
@@ -78,12 +79,10 @@ Score timed(std::uint64_t lines_per_rep, int reps, F&& body) {
   return s;
 }
 
-// Every driver below streams its addresses through an AddrSource (or
-// regenerates them inline from a pure per-index function) instead of
-// materializing a std::vector<Addr> trace — the fused-streaming contract
-// of DESIGN.md §15. The timed region therefore measures the simulator,
-// not trace-replay memory traffic, and the same drivers scale to 10^7+
-// line runs at O(chunk) memory.
+// Every driver below makes the calls the products make: access() per
+// line, or simulate() over a line array built before the timer starts.
+// Per-line addresses come from a pure per-index function or that array,
+// so the timed region measures the simulator, not trace generation.
 
 // Word-granular sweep of 256 L1-resident lines: each line is read 4x in a
 // row (16 B words of a 64 B line), the dominant pattern the trace replayers
@@ -95,8 +94,10 @@ Score run_l1_hit_stream(int reps) {
   SetAssocCache c("L1", 32 * 1024, 8);
   for (Addr l = 0; l < 256; ++l) c.fill(l, FillReason::kDemand);
   Score s = timed(kSweepLen, reps, [&] {
-    auto src = make_addr_source(kSweepLen, sweep_line);
-    return c.access_batch(src);
+    std::uint64_t hits = 0;
+    for (std::uint64_t i = 0; i < kSweepLen; ++i)
+      hits += c.access(sweep_line(i)) ? 1 : 0;
+    return hits;
   });
   s.sim_miss_rate = 1.0 - c.stats().hit_rate();
   return s;
@@ -119,8 +120,9 @@ Score run_l1_lru_churn(int reps) {
   SetAssocCache c("L1", 32 * 1024, 8);
   for (Addr l = 0; l < 256; ++l) c.fill(l, FillReason::kDemand);
   Score s = timed(256, 4 * reps, [&] {
-    auto src = make_addr_source(256, [](std::uint64_t i) { return i; });
-    return c.access_batch(src);
+    std::uint64_t hits = 0;
+    for (Addr l = 0; l < 256; ++l) hits += c.access(l) ? 1 : 0;
+    return hits;
   });
   s.sim_miss_rate = 1.0 - c.stats().hit_rate();
   return s;
@@ -148,9 +150,10 @@ Score run_llc_miss_stream(int reps) {
 Score run_prefetch_heavy(int reps) {
   cachesim::Hierarchy h(cachesim::sandy_bridge());
   constexpr std::uint64_t kLines = 16384;  // 1 MiB sweep
+  std::vector<Addr> lines(kLines);
+  std::iota(lines.begin(), lines.end(), Addr{0});
   Score s = timed(kLines, reps, [&] {
-    return static_cast<std::uint64_t>(h.simulate(
-        make_addr_source(kLines, [](std::uint64_t i) { return i; })));
+    return static_cast<std::uint64_t>(h.simulate(lines));
   });
   s.sim_miss_rate =
       1.0 - h.level(h.level_count() - 1).stats().hit_rate();
@@ -166,12 +169,13 @@ Score run_llc_compute_phase(int reps) {
   // walks every way drops this row by orders of magnitude.
   cachesim::Hierarchy h(cachesim::broadwell());
   constexpr std::uint64_t kLines = 64;
+  std::array<Addr, kLines> lines;
+  for (std::uint64_t i = 0; i < kLines; ++i) lines[i] = Addr{4099} * i;
   bool fds_phase = false;
   Score s = timed(kLines, reps, [&] {
     h.pollute(fds_phase ? std::size_t{64} << 20 : std::size_t{24} << 20);
     fds_phase = !fds_phase;
-    return static_cast<std::uint64_t>(h.simulate(make_addr_source(
-        kLines, [](std::uint64_t i) { return Addr{4099} * i; })));
+    return static_cast<std::uint64_t>(h.simulate(lines));
   });
   s.sim_miss_rate = 1.0 - h.level(h.level_count() - 1).stats().hit_rate();
   return s;
@@ -294,7 +298,7 @@ int main(int argc, char** argv) {
       {"match_list_walk", bench::run_match_list_walk, quick ? 200 : 2000},
   };
 
-  // Which probe backend this binary measured: CI's perf-smoke job asserts
+  // Which probe backend this binary measured: CI's perf-smoke steps assert
   // a Release build reports a vector backend, not the scalar fallback.
   bench::report_label("simd_backend", simd::backend());
 

@@ -283,11 +283,6 @@ void configure_report(const Cli& cli) {
     if (r.seed_flag >= 0 && fault_spec.find("seed=") == std::string::npos)
       r.plan.seed = static_cast<std::uint64_t>(r.seed_flag);
     r.plan_set = true;
-    if (!fault::kFaultEnabled)
-      std::fprintf(stderr,
-                   "warning: --fault requested but the fault plane is "
-                   "compiled out; rebuild with -DSEMPERM_FAULT=ON "
-                   "(nothing will be injected)\n");
   }
   const std::int64_t timeout_s = cli.get_int("timeout-s");
   if (timeout_s > 0 || !r.json_path.empty())

@@ -67,10 +67,8 @@ void configure_trace(const std::string& trace_json_path,
 /// a randomized CI run is reproducible from its artifact.
 std::uint64_t bench_seed(std::uint64_t bench_default);
 
-/// The parsed --fault plan, or nullptr when no spec was given. When a
-/// spec was given but the fault plane is compiled out (SEMPERM_FAULT=0)
-/// the plan is still returned — injection sites simply no-op — and a
-/// warning is printed at parse time. Valid for the process lifetime.
+/// The parsed --fault plan, or nullptr when no spec was given. Valid for
+/// the process lifetime.
 const fault::FaultPlan* fault_plan();
 
 /// Under --filter <substr>, is the panel/table `title` selected? Benches

@@ -137,12 +137,6 @@ SetAssocCache::~SetAssocCache() {
     storage_pool().give({set_count_, assoc_, epoch_, std::move(block_)});
 }
 
-std::size_t SetAssocCache::access_batch(std::span<const Addr> lines) {
-  std::size_t hits = 0;
-  for (const Addr line : lines) hits += access(line) ? 1 : 0;
-  return hits;
-}
-
 void SetAssocCache::set_partition(unsigned reserved_ways) {
   SEMPERM_ASSERT_MSG(reserved_ways < assoc_,
                      "partition must leave at least one normal way");

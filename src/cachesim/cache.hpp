@@ -30,11 +30,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "check/audit.hpp"
-#include "common/addr_source.hpp"
 #include "common/hot_path.hpp"
 #include "common/simd.hpp"
 #include "common/types.hpp"
@@ -118,8 +116,8 @@ class SetAssocCache {
   /// Demand access to `line` (a cache-line index, not a byte address).
   /// Returns true on hit. On hit the line becomes most-recently-used and
   /// prefetch/heater coverage is recorded. Defined inline: this is the hot
-  /// path, and keeping it visible lets access_batch() and the hierarchy's
-  /// streaming loop collapse it into straight-line code.
+  /// path, and keeping it visible lets the hierarchy's streaming loop
+  /// collapse it into straight-line code.
   SEMPERM_HOT bool access(Addr line) {
     std::size_t set;
     return access(line, set);
@@ -151,25 +149,6 @@ class SetAssocCache {
     move_to_front(tags, meta, i, line, m);
     SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
     return true;
-  }
-
-  /// Demand-access every line in `lines` (identical per-line semantics to
-  /// access(), amortising the call overhead for streaming callers).
-  /// Returns the number of hits.
-  SEMPERM_HOT std::size_t access_batch(std::span<const Addr> lines);
-
-  /// Streaming access_batch: pull lines from any AddrSource through a
-  /// stack chunk until exhausted — same per-line semantics, O(chunk)
-  /// memory for arbitrarily long synthetic streams.
-  template <AddrSource Source>
-  std::size_t access_batch(Source&& src) {
-    std::array<Addr, kAddrChunkLines> chunk;
-    std::size_t hits = 0;
-    for (;;) {
-      const std::size_t n = src.next_batch(std::span<Addr>(chunk));
-      if (n == 0) return hits;
-      hits += access_batch(std::span<const Addr>(chunk.data(), n));
-    }
   }
 
   /// Probe without updating LRU or statistics.

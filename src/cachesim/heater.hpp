@@ -54,52 +54,23 @@ struct SimHeaterConfig {
   bool race_with_pollution = false;
 };
 
-/// Common interface over the two heater implementations: the analytic
-/// SimHeater below (fast path — closed-form refresh/saturation terms) and
-/// the execution-driven coherence::ExecHeater (a second simulated core that
-/// actually races the application for LLC capacity). Workloads program
-/// against this so the engine is a runtime switch.
-class HeaterModel {
+class SimHeater {
  public:
-  virtual ~HeaterModel() = default;
+  explicit SimHeater(Hierarchy& hierarchy, SimHeaterConfig config = {});
 
   /// Register a region (simulated address space). Returns a handle.
   /// Charges nothing; callers charge `mutation_cost()` to the application
   /// thread when registration happens on the hot path.
-  virtual std::size_t register_region(Addr addr, std::size_t bytes) = 0;
+  std::size_t register_region(Addr addr, std::size_t bytes);
 
   /// Unregister by handle. Slots are tombstoned and recycled, never erased
   /// while the heater might hold them — the paper's element-reuse design.
-  virtual void unregister_region(std::size_t handle) = 0;
-
-  /// Run one heating pass over the registered regions. Returns the number
-  /// of lines re-fetched (that had gone cold).
-  virtual std::uint64_t refresh() = 0;
-
-  /// Fraction of the registered (budgeted) bytes the heater keeps hot per
-  /// period. Analytic for SimHeater; measured for ExecHeater.
-  virtual double coverage() const = 0;
-
-  /// Application-side cost of one registry mutation. Non-const: the
-  /// execution-driven heater performs the coherent lock/slot writes.
-  virtual Cycles mutation_cost() = 0;
-
-  virtual std::size_t live_regions() const = 0;
-  virtual std::size_t registered_bytes() const = 0;
-};
-
-class SimHeater : public HeaterModel {
- public:
-  explicit SimHeater(Hierarchy& hierarchy, SimHeaterConfig config = {});
-
-  std::size_t register_region(Addr addr, std::size_t bytes) override;
-
-  void unregister_region(std::size_t handle) override;
+  void unregister_region(std::size_t handle);
 
   /// Touch registered regions into the LLC, oldest registration first,
   /// limited by both the capacity budget and the saturation coverage.
   /// Returns lines re-fetched.
-  std::uint64_t refresh() override;
+  std::uint64_t refresh();
 
   /// Cycles of one full heating pass (line touches + registry walk).
   Cycles pass_cycles() const;
@@ -109,15 +80,15 @@ class SimHeater : public HeaterModel {
 
   /// Fraction of the registered (budgeted) bytes the heater actually keeps
   /// hot per period: 1 while the pass fits the period, then period/pass.
-  double coverage() const override;
+  double coverage() const;
 
   /// Application-side cost of one registry mutation: contended lock
   /// transfer + expected wait on an in-progress pass.
-  Cycles mutation_cost() override;
+  Cycles mutation_cost();
 
-  std::size_t live_regions() const override { return live_; }
+  std::size_t live_regions() const { return live_; }
   std::size_t slot_count() const { return regions_.size(); }
-  std::size_t registered_bytes() const override { return registered_bytes_; }
+  std::size_t registered_bytes() const { return registered_bytes_; }
   std::size_t capacity_bytes() const { return capacity_; }
   std::uint64_t total_refreshed_lines() const { return refreshed_lines_; }
 

@@ -18,7 +18,6 @@
 //    model lives in heater.hpp.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -28,7 +27,6 @@
 #include "cachesim/arch.hpp"
 #include "cachesim/cache.hpp"
 #include "cachesim/prefetch.hpp"
-#include "common/addr_source.hpp"
 #include "common/types.hpp"
 
 namespace semperm::cachesim {
@@ -77,22 +75,6 @@ class Hierarchy {
   /// call/dispatch overhead. This is the entry point trace replayers, the
   /// motifs, and the heater use to stream lines.
   Cycles simulate(std::span<const Addr> lines, bool write = false);
-
-  /// Streaming simulate: pull line indices from any AddrSource
-  /// (common/addr_source.hpp) through a stack chunk until the source is
-  /// exhausted. Identical modelled state and statistics to materializing
-  /// the whole trace and calling the span overload once, in O(chunk)
-  /// memory — the entry point for 10^7-line generator-driven runs.
-  template <AddrSource Source>
-  Cycles simulate(Source&& src, bool write = false) {
-    std::array<Addr, kAddrChunkLines> chunk;
-    Cycles total = 0;
-    for (;;) {
-      const std::size_t n = src.next_batch(std::span<Addr>(chunk));
-      if (n == 0) return total;
-      total += simulate(std::span<const Addr>(chunk.data(), n), write);
-    }
-  }
 
   /// Clear all cache levels and prefetcher state (emulated compute phase /
   /// cache clear between iterations, paper §4.1).

@@ -31,7 +31,7 @@
 
 namespace semperm::coherence {
 
-class ExecHeater : public cachesim::HeaterModel {
+class ExecHeater {
  public:
   /// Registry lock/slot lines live at this line index (2^40 lines = 2^46
   /// bytes: far above any simulated workload address).
@@ -43,22 +43,22 @@ class ExecHeater : public cachesim::HeaterModel {
   ExecHeater(CoherentHierarchy& hier, unsigned heater_core, unsigned app_core,
              cachesim::SimHeaterConfig config = {});
 
-  std::size_t register_region(Addr addr, std::size_t bytes) override;
-  void unregister_region(std::size_t handle) override;
+  std::size_t register_region(Addr addr, std::size_t bytes);
+  void unregister_region(std::size_t handle);
 
   /// One heating pass, executed on the heater core under the cycle budget.
   /// Returns lines that had gone cold (fetched from DRAM).
-  std::uint64_t refresh() override;
+  std::uint64_t refresh();
 
   /// Measured coverage of the most recent pass (1.0 before any pass).
-  double coverage() const override { return coverage_; }
+  double coverage() const { return coverage_; }
 
   /// Application-side registry mutation, performed as real coherent writes
   /// (lock line + slot line) on the app core plus the registry walk.
-  Cycles mutation_cost() override;
+  Cycles mutation_cost();
 
-  std::size_t live_regions() const override { return live_; }
-  std::size_t registered_bytes() const override { return registered_bytes_; }
+  std::size_t live_regions() const { return live_; }
+  std::size_t registered_bytes() const { return registered_bytes_; }
   std::size_t slot_count() const { return regions_.size(); }
   std::size_t capacity_bytes() const { return capacity_; }
   std::uint64_t total_refreshed_lines() const { return refreshed_lines_; }

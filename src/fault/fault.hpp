@@ -24,24 +24,16 @@
 //    falls in [burst_start, burst_start+burst_len), modelling a link
 //    brown-out.
 //
-// Compiled out (SEMPERM_FAULT=0, the Release default) the injection
-// *sites* vanish: simmpi delivers directly, the heater never consults a
-// stall hook, and requesting a plan warns. The plan/stats types remain
-// available in every build so CLIs parse uniformly.
+// The plan is the only switch, in every build type: a site injects only
+// under a plan whose matching site is active (DESIGN.md §12 lists the
+// sites).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
-#ifndef SEMPERM_FAULT
-#define SEMPERM_FAULT 0
-#endif
-
 namespace semperm::fault {
-
-/// True when the fault-injection sites are compiled into this TU.
-inline constexpr bool kFaultEnabled = SEMPERM_FAULT != 0;
 
 /// Where a fault can be injected.
 enum class FaultSite : std::uint8_t {

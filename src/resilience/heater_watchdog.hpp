@@ -29,8 +29,8 @@
 // background thread against the steady clock.
 //
 // The watchdog is plain code compiled in every build configuration (like
-// obs::MetricsRegistry); only the fault *injection* sites that make it
-// fire on demand are SEMPERM_FAULT-gated.
+// obs::MetricsRegistry). A fault plan's stall site, installed through
+// HeaterThread::set_stall_hook, makes it fire on demand.
 #pragma once
 
 #include <atomic>

@@ -42,7 +42,7 @@ Runtime::Runtime(int nranks, match::QueueConfig qcfg, RuntimeOptions options)
   if (qcfg_.kind == match::QueueKind::kOmpiBins ||
       qcfg_.kind == match::QueueKind::kFourDim)
     qcfg_.bins = static_cast<std::size_t>(nranks_);
-  transport_active_ = fault::kFaultEnabled && options_.fault_plan != nullptr &&
+  transport_active_ = options_.fault_plan != nullptr &&
                       options_.fault_plan->network_active();
   ranks_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
@@ -93,7 +93,7 @@ void Runtime::drain_locked(int rank, RankState& st) {
     MutexLock lock(st.mailbox_mutex);
     batch.swap(st.mailbox);
   }
-  if (fault::kFaultEnabled && st.transport) {
+  if (st.transport) {
     std::vector<WireMessage> ready;
     for (WireMessage& msg : batch) {
       ready.clear();
@@ -171,7 +171,7 @@ void Runtime::protocol_deliver_locked(RankState& st, WireMessage& msg) {
 // --------------------------------------------------------------------
 
 void Runtime::transmit(int src, int dst, WireMessage&& msg) {
-  if (fault::kFaultEnabled && transport_active_) {
+  if (transport_active_) {
     RankState& st = state(src);
     MutexLock lock(st.mutex);
     transmit_locked(st, dst, std::move(msg));
@@ -181,7 +181,7 @@ void Runtime::transmit(int src, int dst, WireMessage&& msg) {
 }
 
 void Runtime::transmit_locked(RankState& st, int dst, WireMessage&& msg) {
-  if (!(fault::kFaultEnabled && st.transport)) {
+  if (!st.transport) {
     deliver(dst, std::move(msg));
     return;
   }
@@ -371,7 +371,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
                 "rank " + std::to_string(r));)
         Comm comm(this, r, /*ctx_ptp=*/0, /*ctx_coll=*/1);
         rank_main(comm);
-        if (fault::kFaultEnabled && transport_active_) quiesce(r);
+        if (transport_active_) quiesce(r);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);  // lint:allow-std-mutex
         if (!first_error) first_error = std::current_exception();
@@ -379,7 +379,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     });
   }
   for (auto& t : threads) t.join();
-  if (fault::kFaultEnabled && transport_active_) {
+  if (transport_active_) {
     const fault::WireStats ws = wire_stats();
     auto& mr = obs::MetricsRegistry::global();
     mr.counter("simmpi.retransmissions").add(ws.retransmissions);

@@ -28,16 +28,16 @@
 // order.
 //
 // Reliability sublayer (DESIGN.md §12): when a fault plan with active
-// network sites is installed (RuntimeOptions::fault_plan) and the fault
-// plane is compiled in, every wire frame carries a per-(src, dst) sequence
-// number and moves through a go-back-nothing transport: receivers deliver
-// strictly in sequence (parking out-of-order frames, discarding
-// duplicates, cumulative-acking progress) and senders buffer frames until
-// acked, retransmitting on a capped-exponential-backoff timer. The
-// protocol layer above — matching, rendezvous, collectives — observes a
-// per-pair frame stream bit-identical to a fault-free run, which is the
-// property the chaos tests pin. Without a plan (or compiled out,
-// SEMPERM_FAULT=0) frames take the direct deliver() path unchanged.
+// network sites is installed (RuntimeOptions::fault_plan), every wire
+// frame carries a per-(src, dst) sequence number and moves through a
+// go-back-nothing transport: receivers deliver strictly in sequence
+// (parking out-of-order frames, discarding duplicates, cumulative-acking
+// progress) and senders buffer frames until acked, retransmitting on a
+// capped-exponential-backoff timer. The protocol layer above — matching,
+// rendezvous, collectives — observes a per-pair frame stream
+// bit-identical to a fault-free run, which is the property the chaos
+// tests pin. Without such a plan frames take the direct deliver() path
+// unchanged.
 #pragma once
 
 #include <cstddef>
@@ -174,7 +174,7 @@ struct RuntimeOptions {
   std::size_t eager_threshold = 16 * 1024;
 
   // --- reliability sublayer (active only with a plan whose network
-  // sites fire, and only when SEMPERM_FAULT compiles the sites in) ----
+  // sites fire) -------------------------------------------------------
   /// Fault scenario to inject; must outlive the Runtime. nullptr = the
   /// wire is perfectly reliable and frames bypass the transport.
   const fault::FaultPlan* fault_plan = nullptr;
@@ -215,8 +215,8 @@ class Runtime {
   fault::WireStats wire_stats() const;
   /// Aggregate injector counts over all ranks (after run()).
   fault::FaultStats fault_stats() const;
-  /// Is the reliability transport live (plan installed, sites active,
-  /// fault plane compiled in)?
+  /// Is the reliability transport live (plan installed, network sites
+  /// active)?
   bool transport_active() const { return transport_active_; }
 
  private:
@@ -280,7 +280,7 @@ class Runtime {
   };
 
   /// Per-rank reliability transport; allocated only when the installed
-  /// fault plan has active network sites (and SEMPERM_FAULT is on).
+  /// fault plan has active network sites.
   /// All fields are guarded by the rank's state mutex.
   struct Transport {
     explicit Transport(const fault::FaultPlan& plan) : injector(plan) {}
@@ -341,13 +341,12 @@ class Runtime {
       {
         MutexLock lock(st.mutex);
         drain_locked(rank, st);
-        if (fault::kFaultEnabled && st.transport)
-          service_transport_locked(st);
+        if (st.transport) service_transport_locked(st);
         if (done()) return;
       }
       UniqueLock mlock(st.mailbox_mutex);
       if (!st.mailbox.empty()) continue;  // more work arrived: go drain it
-      if (fault::kFaultEnabled && st.transport)
+      if (st.transport)
         st.cv.wait_for_ns(mlock, options_.transport_poll_ns);
       else
         st.cv.wait(mlock);

@@ -1,6 +1,6 @@
 // ExecHeater (execution-driven heater core) tests: agreement with the
 // analytic SimHeater fast path, registry lock-line ping-pong through the
-// MESI model, HeaterModel polymorphism and slot recycling.
+// MESI model, the register/refresh/unregister surface and slot recycling.
 //
 // Agreement methodology: the analytic model charges a fixed
 // touch_cycles_per_line for every heated line. On a *cold* pass every
@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 
 #include "cachesim/arch.hpp"
@@ -148,23 +147,22 @@ TEST(ExecHeaterTest, RegistryLockLinePingPongsThroughMesi) {
 
 TEST(ExecHeaterTest, ImplementsHeaterModelInterface) {
   CoherentHierarchy hier(sandy_bridge(), 2);
-  auto exec = std::make_unique<ExecHeater>(hier, 1, 0, SimHeaterConfig{});
-  cachesim::HeaterModel* model = exec.get();
-  EXPECT_DOUBLE_EQ(model->coverage(), 1.0);  // before any pass
-  const std::size_t h0 = model->register_region(0x1000'0000, 64 * 1024);
-  const std::size_t h1 = model->register_region(0x2000'0000, 64 * 1024);
-  EXPECT_EQ(model->live_regions(), 2u);
-  EXPECT_EQ(model->registered_bytes(), 128u * 1024);
-  model->refresh();
-  EXPECT_GT(model->mutation_cost(), 0u);
-  model->unregister_region(h0);
-  EXPECT_EQ(model->live_regions(), 1u);
+  ExecHeater exec(hier, 1, 0, SimHeaterConfig{});
+  EXPECT_DOUBLE_EQ(exec.coverage(), 1.0);  // before any pass
+  const std::size_t h0 = exec.register_region(0x1000'0000, 64 * 1024);
+  const std::size_t h1 = exec.register_region(0x2000'0000, 64 * 1024);
+  EXPECT_EQ(exec.live_regions(), 2u);
+  EXPECT_EQ(exec.registered_bytes(), 128u * 1024);
+  exec.refresh();
+  EXPECT_GT(exec.mutation_cost(), 0u);
+  exec.unregister_region(h0);
+  EXPECT_EQ(exec.live_regions(), 1u);
   // Tombstoned slots are recycled, never erased (element-reuse design).
-  const std::size_t h2 = model->register_region(0x3000'0000, 4096);
+  const std::size_t h2 = exec.register_region(0x3000'0000, 4096);
   EXPECT_EQ(h2, h0);
-  EXPECT_EQ(exec->slot_count(), 2u);
-  model->unregister_region(h1);
-  EXPECT_THROW(model->unregister_region(h1), std::logic_error);
+  EXPECT_EQ(exec.slot_count(), 2u);
+  exec.unregister_region(h1);
+  EXPECT_THROW(exec.unregister_region(h1), std::logic_error);
 }
 
 TEST(ExecHeaterTest, RejectsInvalidConfigurations) {

@@ -1,8 +1,7 @@
 // Unit tests of the deterministic fault-injection plane: spec parsing,
 // roll purity, decision semantics, schedules, and the wire-accounting
-// arithmetic. Everything here works in every build configuration — the
-// plan/decision types are compiled unconditionally; only the injection
-// *sites* are SEMPERM_FAULT-gated.
+// arithmetic. Everything here works in every build configuration, like
+// the injection sites themselves.
 
 #include "fault/fault.hpp"
 

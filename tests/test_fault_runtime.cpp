@@ -90,7 +90,7 @@ std::vector<std::vector<int>> run_ring(int nranks, int msgs,
 TEST(FaultRuntime, TransportActivationMatchesBuild) {
   const auto plan = fault::FaultPlan::parse("drop=0.05");
   Runtime chaos(2, qc("baseline"), chaos_options(&plan));
-  EXPECT_EQ(chaos.transport_active(), fault::kFaultEnabled);
+  EXPECT_TRUE(chaos.transport_active());
   Runtime clean(2, qc("baseline"));
   EXPECT_FALSE(clean.transport_active());
   const auto stall_only = fault::FaultPlan::parse("stall=0.5");
@@ -99,8 +99,6 @@ TEST(FaultRuntime, TransportActivationMatchesBuild) {
 }
 
 TEST(FaultRuntime, DeliveredStreamBitIdenticalAcrossChaosMatrix) {
-  if (!fault::kFaultEnabled)
-    GTEST_SKIP() << "fault plane compiled out (SEMPERM_FAULT=0)";
   constexpr int kRanks = 3;
   constexpr int kMsgs = 60;
   const auto shadow = run_ring(kRanks, kMsgs, nullptr);
@@ -112,8 +110,6 @@ TEST(FaultRuntime, DeliveredStreamBitIdenticalAcrossChaosMatrix) {
 }
 
 TEST(FaultRuntime, UnexpectedPathSurvivesChaos) {
-  if (!fault::kFaultEnabled)
-    GTEST_SKIP() << "fault plane compiled out (SEMPERM_FAULT=0)";
   // Flood-then-drain: all messages arrive unexpected (pure UMQ matching),
   // received in reverse tag order, under the combined scenario.
   const auto plan =
@@ -134,8 +130,6 @@ TEST(FaultRuntime, UnexpectedPathSurvivesChaos) {
 }
 
 TEST(FaultRuntime, RendezvousPayloadsSurviveChaos) {
-  if (!fault::kFaultEnabled)
-    GTEST_SKIP() << "fault plane compiled out (SEMPERM_FAULT=0)";
   // 48 KiB payloads exceed the eager threshold, so the RTS/CTS/RdvData
   // control frames themselves ride the lossy wire.
   const auto plan = fault::FaultPlan::parse("drop=0.05,reorder=0.05,seed=23");
@@ -163,8 +157,6 @@ TEST(FaultRuntime, RendezvousPayloadsSurviveChaos) {
 }
 
 TEST(FaultRuntime, CollectivesCompleteUnderHeavyLoss) {
-  if (!fault::kFaultEnabled)
-    GTEST_SKIP() << "fault plane compiled out (SEMPERM_FAULT=0)";
   // A brutal 40% drop rate with a low forced-delivery cap: barriers,
   // broadcasts and reductions must still terminate and agree.
   const auto plan = fault::FaultPlan::parse("drop=0.4,max-attempts=6,seed=31");
@@ -186,8 +178,6 @@ TEST(FaultRuntime, CollectivesCompleteUnderHeavyLoss) {
 }
 
 TEST(FaultRuntime, InjectorCountersAggregateAcrossRanks) {
-  if (!fault::kFaultEnabled)
-    GTEST_SKIP() << "fault plane compiled out (SEMPERM_FAULT=0)";
   const auto plan = fault::FaultPlan::parse("drop=0.10,dup=0.10,seed=41");
   Runtime rt(3, qc("baseline"), chaos_options(&plan));
   rt.run([](Comm& c) {

@@ -23,7 +23,6 @@ namespace {
 
 using fault::FaultInjector;
 using fault::FaultPlan;
-using fault::kFaultEnabled;
 using hotcache::HeaterConfig;
 using hotcache::HeaterThread;
 using hotcache::RegionRegistry;
@@ -195,8 +194,6 @@ TEST(HeaterWatchdog, ResetRestoresEverything) {
 }
 
 TEST(HeaterWatchdog, SeededStallIsDetectedAndDegrades) {
-  if (!kFaultEnabled)
-    GTEST_SKIP() << "fault plane compiled out (SEMPERM_FAULT=0)";
   RegionRegistry reg;
   std::vector<std::byte> arena(1 << 16);
   reg.register_region(arena.data(), arena.size());
@@ -232,7 +229,8 @@ TEST(HeaterWatchdog, PauseResumeRacesRegistryMutation) {
   // Stress the synchronisation: the application pauses/resumes while
   // another thread churns the registry and the watchdog applies policy —
   // all against a free-running heater. TSan validates; natively this is
-  // a smoke test that nothing deadlocks or crashes.
+  // a smoke test that nothing deadlocks or crashes, and that the heater
+  // still runs passes once the race is over.
   RegionRegistry reg;
   std::vector<std::byte> stable(1 << 12);
   std::vector<std::byte> churn(1 << 12);
@@ -274,8 +272,17 @@ TEST(HeaterWatchdog, PauseResumeRacesRegistryMutation) {
   pauser.join();
   registrar.join();
   dog.reset();
+  // The reset leaves the heater unpaused. Wait (bounded) for a pass after
+  // it rather than rely on the scheduler having run one during the race.
+  const std::uint64_t at_reset = heater.stats().passes;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (heater.stats().passes <= at_reset &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  const std::uint64_t passes = heater.stats().passes;
   heater.stop();
-  EXPECT_GE(heater.stats().passes, 1u);
+  EXPECT_GT(passes, at_reset);
 }
 
 TEST(RegionPriority, SnapshotCarriesPriorityAndCeilingSkips) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 namespace semperm::workloads {
 namespace {
 
@@ -114,6 +116,80 @@ TEST(OsuBw, FullFlushHarsherThanPollution) {
   p.compute_working_set_bytes = 0;  // full flush
   const auto flushed = run_osu_bw(p);
   EXPECT_GT(polluted.bandwidth_mibps, flushed.bandwidth_mibps);
+}
+
+// Field tuples, so a mismatch prints every counter of both runs.
+auto level_counts(const cachesim::LevelSummary& l) {
+  return std::tuple(l.name, l.demand_hits, l.demand_misses, l.prefetch_fills,
+                    l.prefetch_hits, l.writebacks);
+}
+
+auto fault_counts(const fault::FaultStats& f) {
+  return std::tuple(f.rolls, f.drops, f.duplicates, f.reorders, f.delays,
+                    f.heater_stalls, f.forced_deliveries);
+}
+
+/// What a chaos plan must leave alone (DESIGN.md §12.2): the matching
+/// stream and every hierarchy counter it drives.
+void expect_same_matching(const OsuResult& a, const OsuResult& b) {
+  EXPECT_EQ(a.match_ns_per_msg, b.match_ns_per_msg);
+  EXPECT_EQ(a.mean_search_depth, b.mean_search_depth);
+  EXPECT_EQ(a.dram_fetches_per_msg, b.dram_fetches_per_msg);
+  EXPECT_EQ(a.llc_hit_rate, b.llc_hit_rate);
+  EXPECT_EQ(a.hier.accesses, b.hier.accesses);
+  EXPECT_EQ(a.hier.lines_touched, b.hier.lines_touched);
+  EXPECT_EQ(a.hier.dram_fetches, b.hier.dram_fetches);
+  EXPECT_EQ(a.hier.total_cycles, b.hier.total_cycles);
+  ASSERT_EQ(a.hier.levels.size(), b.hier.levels.size());
+  for (std::size_t i = 0; i < a.hier.levels.size(); ++i)
+    EXPECT_EQ(level_counts(a.hier.levels[i]), level_counts(b.hier.levels[i]));
+}
+
+void expect_same_result(const OsuResult& a, const OsuResult& b) {
+  EXPECT_EQ(a.bandwidth_mibps, b.bandwidth_mibps);
+  EXPECT_EQ(a.msg_time_ns, b.msg_time_ns);
+  expect_same_matching(a, b);
+  EXPECT_EQ(fault_counts(a.faults), fault_counts(b.faults));
+  EXPECT_EQ(a.stalled_refreshes, b.stalled_refreshes);
+}
+
+OsuParams chaos_run() {
+  auto p = quick("baseline", 1, 128);
+  p.iterations = 8;
+  return p;
+}
+
+TEST(OsuBw, ChaosTaxMovesWireTimeOnly) {
+  auto p = chaos_run();
+  const auto clean = run_osu_bw(p);
+  const auto plan = fault::FaultPlan::parse("drop=0.05,dup=0.02,seed=7");
+  p.fault = &plan;
+  const auto chaos = run_osu_bw(p);
+  EXPECT_LT(chaos.bandwidth_mibps, clean.bandwidth_mibps);
+  EXPECT_GT(chaos.faults.drops, 0u);
+  expect_same_matching(chaos, clean);
+  expect_same_result(run_osu_bw(p), chaos);  // the plan replays exactly
+}
+
+TEST(OsuBw, HeaterStallsSkipPooledRefreshes) {
+  auto p = chaos_run();
+  p.queue = match::QueueConfig::from_label("lla-2");
+  p.heater = HeaterMode::kPooled;
+  const auto plan = fault::FaultPlan::parse("stall=0.5,seed=7");
+  p.fault = &plan;
+  const auto r = run_osu_bw(p);
+  EXPECT_GT(r.stalled_refreshes, 0u);
+  EXPECT_EQ(r.stalled_refreshes, r.faults.heater_stalls);
+}
+
+TEST(OsuBw, StallPlanWithoutHeaterTaxesNothing) {
+  auto p = chaos_run();
+  const auto clean = run_osu_bw(p);
+  const auto plan = fault::FaultPlan::parse("stall=0.5,seed=7");
+  p.fault = &plan;
+  auto stalled = run_osu_bw(p);
+  stalled.faults = clean.faults;  // the injector's own counts may differ
+  expect_same_result(stalled, clean);
 }
 
 TEST(OsuLatency, ScalesWithMessageSizeAndDepth) {

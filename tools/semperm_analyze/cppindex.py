@@ -10,7 +10,8 @@ Builds, from the token stream, the three structures the checks consume:
   * CallSite  — extracted per function body: callee name, how it was
                 qualified (plain / member / scoped), and whether the call
                 sits inside a compiled-out instrumentation macro
-                (SEMPERM_AUDIT_ONLY / SEMPERM_TRACE_* / SEMPERM_FAULT_*).
+                (SEMPERM_AUDIT_ONLY / SEMPERM_TRACE_* / SEMPERM_PROF_* /
+                SEMPERM_OWNER_*).
 
 The parser is deliberately structural, not semantic: it tracks brace,
 paren, and angle nesting plus scope names, which is sufficient to resolve
@@ -39,8 +40,8 @@ _NOT_CALLS = {
 # SEMPERM_PROF_* profiler probes and SEMPERM_OWNER_SCOPE attribution
 # macro (DESIGN.md §16) expand to nothing when SEMPERM_TRACE is 0, so
 # they earn the same exemption.
-_EXEMPT_MACRO_PREFIXES = ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_FAULT",
-                          "SEMPERM_PROF", "SEMPERM_OWNER")
+_EXEMPT_MACRO_PREFIXES = ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_PROF",
+                          "SEMPERM_OWNER")
 
 
 def _is_macroish(name: str) -> bool:
