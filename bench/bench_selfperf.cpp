@@ -63,6 +63,9 @@ struct Score {
   // LLC miss rate so the --json artifact carries the measured-vs-modeled
   // delta (DESIGN.md §16).
   double sim_miss_rate = -1.0;
+  // The simulated-cycle profile of the scenario's coherent hierarchy
+  // (empty for the single-core scenarios).
+  obs::ProfSnapshot profile;
   double lines_per_sec() const { return seconds > 0 ? lines / seconds : 0; }
 };
 
@@ -218,6 +221,7 @@ Score run_coherent_4core_mix(int reps) {
   });
   if (coh.llc() != nullptr)
     s.sim_miss_rate = 1.0 - coh.llc()->stats().hit_rate();
+  s.profile = coh.profile();
   return s;
 }
 
@@ -259,7 +263,7 @@ int main(int argc, char** argv) {
   bench::add_standard_flags(cli);
   cli.add_flag("profile",
                "Attribute simulated cycles per access-path site and print "
-               "the bucket table (requires -DSEMPERM_TRACE=ON)");
+               "the bucket table");
   cli.add_string("profile-out", "",
                  "Also write the profile as flamegraph.pl collapsed-stack "
                  "lines to this file");
@@ -268,19 +272,6 @@ int main(int argc, char** argv) {
   bench::default_json_path("BENCH_cachesim.json");
   const bool quick = cli.flag("quick");
   const int reps = quick ? 200 : 2000;
-
-  const bool profile = cli.flag("profile");
-  if (profile) {
-#if SEMPERM_TRACE
-    obs::prof_reset();
-    obs::prof_enable(true);
-#else
-    std::fprintf(stderr,
-                 "warning: --profile requested but the profiler is compiled "
-                 "out; rebuild with -DSEMPERM_TRACE=ON (no buckets will be "
-                 "recorded)\n");
-#endif
-  }
 
   struct Scenario {
     const char* name;
@@ -303,6 +294,8 @@ int main(int argc, char** argv) {
   bench::report_label("simd_backend", simd::backend());
 
   Table table({"scenario", "lines", "seconds", "Mlines/s", "reps"});
+  // Every run's profile, auto-scale reruns included.
+  obs::ProfSnapshot profile;
   double soa_rate = 0;
   double ref_rate = 0;
   for (const auto& s : scenarios) {
@@ -317,6 +310,7 @@ int main(int argc, char** argv) {
       pc.start();
       Score sc = s.run(n);
       hw = pc.stop();
+      profile += sc.profile;
       return sc;
     };
     // Auto-scale repetitions until the scenario runs >= 250 ms, so the
@@ -363,13 +357,10 @@ int main(int argc, char** argv) {
     bench::report_metric("l1_hit_stream_speedup_vs_reference",
                          soa_rate / ref_rate);
   bench::emit("cachesim self-performance", table, cli.flag("csv"));
-#if SEMPERM_TRACE
-  if (profile) {
-    obs::prof_enable(false);
-    const obs::ProfSnapshot snap = obs::prof_aggregate();
-    std::fputs(obs::prof_table(snap).c_str(), stdout);
+  if (cli.flag("profile")) {
+    std::fputs(obs::prof_table(profile).c_str(), stdout);
     bench::report_metric("profile_total_cycles",
-                         static_cast<double>(snap.total_cycles()));
+                         static_cast<double>(profile.total_cycles()));
     const std::string out_path = cli.get_string("profile-out");
     if (!out_path.empty()) {
       std::ofstream os(out_path);
@@ -377,9 +368,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot write profile to %s\n", out_path.c_str());
         return 1;
       }
-      os << obs::prof_collapsed(snap);
+      os << obs::prof_collapsed(profile);
     }
   }
-#endif
   return bench::finish_report();
 }

@@ -26,39 +26,47 @@ SimHeater::SimHeater(Hierarchy& hierarchy, SimHeaterConfig config)
   }
 }
 
-std::size_t SimHeater::register_region(Addr addr, std::size_t bytes) {
+std::size_t HeaterRegistry::register_region(Addr addr, std::size_t bytes) {
   SEMPERM_ASSERT(bytes > 0);
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+  std::size_t slot = regions.size();
+  if (!free_slots.empty()) {
+    slot = free_slots.back();
+    free_slots.pop_back();
   } else {
-    slot = regions_.size();
-    regions_.emplace_back();
+    regions.emplace_back();
   }
-  regions_[slot] = Region{addr, bytes, /*live=*/true};
-  ++live_;
-  registered_bytes_ += bytes;
+  regions[slot] = Region{addr, bytes, /*live=*/true};
+  ++live;
+  registered_bytes += bytes;
   return slot;
 }
 
+void HeaterRegistry::unregister_region(std::size_t handle) {
+  SEMPERM_ASSERT(handle < regions.size());
+  SEMPERM_ASSERT_MSG(regions[handle].live, "double unregister");
+  regions[handle].live = false;
+  free_slots.push_back(handle);
+  SEMPERM_ASSERT(live > 0);
+  --live;
+  SEMPERM_ASSERT(registered_bytes >= regions[handle].bytes);
+  registered_bytes -= regions[handle].bytes;
+}
+
+std::size_t SimHeater::register_region(Addr addr, std::size_t bytes) {
+  return registry_.register_region(addr, bytes);
+}
+
 void SimHeater::unregister_region(std::size_t handle) {
-  SEMPERM_ASSERT(handle < regions_.size());
-  SEMPERM_ASSERT_MSG(regions_[handle].live, "double unregister");
-  regions_[handle].live = false;
-  free_slots_.push_back(handle);
-  SEMPERM_ASSERT(live_ > 0);
-  --live_;
-  SEMPERM_ASSERT(registered_bytes_ >= regions_[handle].bytes);
-  registered_bytes_ -= regions_[handle].bytes;
+  registry_.unregister_region(handle);
 }
 
 Cycles SimHeater::pass_cycles() const {
-  const std::size_t heated_bytes = std::min(registered_bytes_, capacity_);
+  const std::size_t heated_bytes =
+      std::min(registry_.registered_bytes, capacity_);
   const auto lines =
       static_cast<Cycles>((heated_bytes + kCacheLine - 1) / kCacheLine);
-  return lines * touch_cycles_ +
-         config_.scan_cost_per_region * static_cast<Cycles>(regions_.size());
+  const auto slots = static_cast<Cycles>(registry_.regions.size());
+  return lines * touch_cycles_ + config_.scan_cost_per_region * slots;
 }
 
 double SimHeater::duty() const {
@@ -88,7 +96,7 @@ Cycles SimHeater::mutation_cost() {
   // registry, plus the expected wait on the heater's per-region lock hold
   // (probability = duty, mean residual = half of one region's hold time;
   // the registry uses fine-grained per-slot holds, not a whole-pass lock).
-  const auto slots = static_cast<Cycles>(regions_.size());
+  const auto slots = static_cast<Cycles>(registry_.regions.size());
   const double per_region_hold =
       slots > 0 ? static_cast<double>(pass_cycles()) / static_cast<double>(slots)
                 : 0.0;
@@ -104,10 +112,10 @@ std::uint64_t SimHeater::refresh() {
   SEMPERM_TRACE_ONLY(
       const std::uint64_t pass_start = obs::trace_on() ? obs::sim_now() : 0;)
   SEMPERM_TRACE_SPAN_BEGIN(obs::Category::kHeater, "heater_pass", trace_track_,
-                           registered_bytes_);
+                           registry_.registered_bytes);
   double budget = static_cast<double>(capacity_) * coverage();
   std::uint64_t fetched = 0;
-  for (const Region& r : regions_) {
+  for (const HeaterRegistry::Region& r : registry_.regions) {
     if (!r.live) continue;
     if (budget <= 0.0) break;
     const std::size_t take =

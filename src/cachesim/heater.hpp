@@ -54,6 +54,26 @@ struct SimHeaterConfig {
   bool race_with_pollution = false;
 };
 
+/// The region registry both heaters walk (SimHeater and
+/// coherence::ExecHeater): one slot per registration. Unregistering
+/// tombstones the slot, and the next registration reuses the slot freed
+/// last; passes walk the slots in index order.
+struct HeaterRegistry {
+  struct Region {
+    Addr addr = 0;
+    std::size_t bytes = 0;
+    bool live = false;
+  };
+
+  std::size_t register_region(Addr addr, std::size_t bytes);
+  void unregister_region(std::size_t handle);
+
+  std::vector<Region> regions;
+  std::vector<std::size_t> free_slots;
+  std::size_t live = 0;
+  std::size_t registered_bytes = 0;
+};
+
 class SimHeater {
  public:
   explicit SimHeater(Hierarchy& hierarchy, SimHeaterConfig config = {});
@@ -86,27 +106,18 @@ class SimHeater {
   /// transfer + expected wait on an in-progress pass.
   Cycles mutation_cost();
 
-  std::size_t live_regions() const { return live_; }
-  std::size_t slot_count() const { return regions_.size(); }
-  std::size_t registered_bytes() const { return registered_bytes_; }
+  std::size_t live_regions() const { return registry_.live; }
+  std::size_t slot_count() const { return registry_.regions.size(); }
+  std::size_t registered_bytes() const { return registry_.registered_bytes; }
   std::size_t capacity_bytes() const { return capacity_; }
   std::uint64_t total_refreshed_lines() const { return refreshed_lines_; }
 
  private:
-  struct Region {
-    Addr addr = 0;
-    std::size_t bytes = 0;
-    bool live = false;
-  };
-
   Hierarchy* hier_;
   SimHeaterConfig config_;
   std::size_t capacity_;
   Cycles touch_cycles_;
-  std::vector<Region> regions_;
-  std::vector<std::size_t> free_slots_;
-  std::size_t live_ = 0;
-  std::size_t registered_bytes_ = 0;
+  HeaterRegistry registry_;
   std::uint64_t refreshed_lines_ = 0;
   // Trace-only: the heater's timeline track for pass spans.
   SEMPERM_TRACE_ONLY(std::uint16_t trace_track_ = 0;)

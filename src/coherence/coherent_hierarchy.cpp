@@ -7,7 +7,6 @@
 
 #include "check/mesi_rules.hpp"
 #include "common/assert.hpp"
-#include "obs/profiler.hpp"
 
 namespace semperm::coherence {
 
@@ -15,6 +14,7 @@ using cachesim::AccessObservation;
 using cachesim::FillReason;
 using cachesim::LineClass;
 using cachesim::PrefetchRequest;
+using obs::ProfSite;
 
 #if SEMPERM_TRACE
 namespace {
@@ -76,7 +76,7 @@ void CoherentHierarchy::set_state(DirIt it, unsigned core, MesiState st) {
                                 mesi_transition_name(from, st), 0, it->first,
                                 static_cast<double>(core));
       })
-  SEMPERM_PROF_COUNT(kMesiTransition);
+  prof_.add(ProfSite::kMesiTransition, 1, 0);
   e.sharers |= bit(core);
   if (st != MesiState::kShared) {
     e.owner = static_cast<int>(core);
@@ -97,7 +97,7 @@ void CoherentHierarchy::drop_sharer(DirIt it, unsigned core) {
                                 mesi_transition_name(from, MesiState::kInvalid),
                                 0, it->first, static_cast<double>(core));
       })
-  SEMPERM_PROF_COUNT(kMesiTransition);
+  prof_.add(ProfSite::kMesiTransition, 1, 0);
   e.sharers &= ~bit(core);
   if (e.owner == static_cast<int>(core)) {
     e.owner = -1;
@@ -121,7 +121,6 @@ void CoherentHierarchy::invalidate_remotes(DirIt it, unsigned core) {
     if (static_cast<int>(c) == dirty) {
       // Write the dirty data back into the shared level before dropping.
       ++coh_.dirty_writebacks;
-      SEMPERM_PROF_COUNT(kWriteback);
       if (llc_) llc_->mark_dirty(line);
     }
     cores_[c].l1.invalidate(line);
@@ -176,15 +175,12 @@ void CoherentHierarchy::on_llc_evict(const SetAssocCache::EvictedWay& ev) {
   while (sharers != 0) {
     const unsigned c = static_cast<unsigned>(std::countr_zero(sharers));
     sharers &= sharers - 1;
-    if (static_cast<int>(c) == dirty) {
+    if (static_cast<int>(c) == dirty)
       ++coh_.dirty_writebacks;  // drains to DRAM; LLC copy is already gone
-      SEMPERM_PROF_COUNT(kWriteback);
-    }
     cores_[c].l1.invalidate(ev.line);
     cores_[c].l2.invalidate(ev.line);
     drop_sharer(it, c);  // the last sharer out erases the entry
     ++coh_.back_invalidations;
-    SEMPERM_PROF_COUNT(kBackInvalidate);
     SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
                           "back_invalidation", 0, ev.line,
                           static_cast<double>(c));
@@ -229,11 +225,9 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
   if (cs.l1.access(line, l1_set)) {
     serving = 0;
     cost = arch_.l1.hit_latency;
-    SEMPERM_PROF_ADD(kL1Probe, cost);
   } else if (cs.l2.access(line, l2_set)) {
     serving = 1;
     cost = arch_.l2.hit_latency;
-    SEMPERM_PROF_ADD(kL2Probe, cost);
   }
 
   if (serving <= 1) {
@@ -248,7 +242,6 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
         SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence, "upgrade", 0,
                               line, static_cast<double>(core));
         cost += arch_.snoop_latency;
-        SEMPERM_PROF_ADD(kUpgradeSnoop, arch_.snoop_latency);
         invalidate_remotes(it, core);
       }
       set_state(it, core, MesiState::kModified);
@@ -259,7 +252,6 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
     // whether one of them owns it (a remote E or M copy can only be the
     // owner). The remote transitions below use the probed entry, so each
     // runs before any fill that could move it.
-    SEMPERM_PROF_COUNT(kDirLookup);
     const auto it = directory_.find(line);
     std::uint64_t remotes = 0;
     int owner = -1;  // the remote E-or-M holder
@@ -281,8 +273,7 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
       SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence, "intervention",
                             0, line, static_cast<double>(dirty));
       cost = arch_.intervention_latency;
-      SEMPERM_PROF_ADD(kIntervention, cost);
-      SEMPERM_PROF_COUNT(kWriteback);
+      prof_.add(ProfSite::kIntervention, 1, cost);
       const unsigned o = static_cast<unsigned>(dirty);
       if (write) {
         cores_[o].l1.invalidate(line);
@@ -296,12 +287,11 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
     } else if (llc_ && llc_->access(line)) {
       serving = 2;
       cost = llc_latency_;
-      SEMPERM_PROF_ADD(kLlcProbe, llc_latency_);
       if (write) {
         if (remotes != 0) {
           ++coh_.snoops;
           cost += arch_.snoop_latency;
-          SEMPERM_PROF_ADD(kWriteInvalidate, arch_.snoop_latency);
+          prof_.add(ProfSite::kWriteInvalidate, 1, arch_.snoop_latency);
           invalidate_remotes(it, core);
         }
       } else if (owner >= 0) {
@@ -311,7 +301,7 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
         ++coh_.snoops;
         ++coh_.clean_downgrades;
         cost += arch_.snoop_latency;
-        SEMPERM_PROF_ADD(kCleanDowngrade, arch_.snoop_latency);
+        prof_.add(ProfSite::kCleanDowngrade, 1, arch_.snoop_latency);
       }
     } else if (remotes != 0) {
       // Remote clean copy not served by a shared level: always the case on
@@ -320,7 +310,7 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
       // cache-to-cache.
       ++coh_.snoops;
       cost = arch_.intervention_latency;
-      SEMPERM_PROF_ADD(kRemoteForward, cost);
+      prof_.add(ProfSite::kRemoteForward, 1, cost);
       if (write) {
         invalidate_remotes(it, core);
       } else if (owner >= 0) {
@@ -331,7 +321,7 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
     } else {
       cost = arch_.dram_latency;
       ++cs.stats.dram_fetches;
-      SEMPERM_PROF_ADD(kDramFill, cost);
+      prof_.add(ProfSite::kDramFill, 1, cost);
       if (llc_) llc_fill(line, FillReason::kDemand, /*dirty=*/false);
     }
   }
@@ -459,7 +449,6 @@ CoherentHierarchy::HeaterTouch CoherentHierarchy::heater_touch_line(
     ++coh_.dirty_writebacks;
     SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence, "intervention",
                           0, line, static_cast<double>(owner));
-    SEMPERM_PROF_COUNT(kWriteback);
     set_state(it, static_cast<unsigned>(owner), MesiState::kShared);
     t.cycles = arch_.intervention_latency;
     llc_fill(line, FillReason::kHeater, /*dirty=*/true);
@@ -472,7 +461,7 @@ CoherentHierarchy::HeaterTouch CoherentHierarchy::heater_touch_line(
     ++cs.stats.dram_fetches;
     llc_fill(line, FillReason::kHeater, /*dirty=*/false);
   }
-  SEMPERM_PROF_ADD(kHeaterTouch, t.cycles);
+  prof_.add(ProfSite::kHeaterTouch, 1, t.cycles);
   SEMPERM_AUDIT_ONLY(audit_line(line);)
   cs.stats.total_cycles += t.cycles;
   SEMPERM_TRACE_CLOCK_ADVANCE(t.cycles);
@@ -543,6 +532,30 @@ const cachesim::HierarchyStats& CoherentHierarchy::core_stats(
         st.prefetch_hits, st.writebacks});
   }
   return cs.stats;
+}
+
+obs::ProfSnapshot CoherentHierarchy::profile() const {
+  obs::ProfSnapshot p = prof_;
+  std::uint64_t l1_hits = 0;
+  std::uint64_t l2_hits = 0;
+  std::uint64_t l2_misses = 0;  // private misses: one directory probe each
+  for (const CoreStack& cs : cores_) {
+    l1_hits += cs.l1.stats().demand_hits;
+    l2_hits += cs.l2.stats().demand_hits;
+    l2_misses += cs.l2.stats().demand_misses;
+  }
+  p.add(ProfSite::kL1Probe, l1_hits, l1_hits * arch_.l1.hit_latency);
+  p.add(ProfSite::kL2Probe, l2_hits, l2_hits * arch_.l2.hit_latency);
+  if (llc_) {
+    const std::uint64_t llc_hits = llc_->stats().demand_hits;
+    p.add(ProfSite::kLlcProbe, llc_hits, llc_hits * llc_latency_);
+  }
+  p.add(ProfSite::kDirLookup, l2_misses, 0);
+  p.add(ProfSite::kUpgradeSnoop, coh_.upgrades,
+        coh_.upgrades * arch_.snoop_latency);
+  p.add(ProfSite::kBackInvalidate, coh_.back_invalidations, 0);
+  p.add(ProfSite::kWriteback, coh_.dirty_writebacks, 0);
+  return p;
 }
 
 LlcOccupancy CoherentHierarchy::llc_occupancy() const {
@@ -632,6 +645,7 @@ void CoherentHierarchy::reset_stats() {
   }
   if (llc_) llc_->reset_stats();
   coh_ = CoherenceStats{};
+  prof_ = obs::ProfSnapshot{};
 }
 
 std::string CoherentHierarchy::report() const {

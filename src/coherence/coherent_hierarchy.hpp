@@ -44,6 +44,7 @@
 #include "coherence/line_map.hpp"
 #include "coherence/mesi.hpp"
 #include "common/types.hpp"
+#include "obs/profiler.hpp"
 
 namespace semperm::coherence {
 
@@ -103,6 +104,14 @@ class CoherentHierarchy {
   const cachesim::HierarchyStats& core_stats(unsigned core) const;
 
   const CoherenceStats& coherence_stats() const { return coh_; }
+
+  /// Simulated-cycle profile since construction or the last reset_stats()
+  /// (DESIGN.md §16.2). Its per-site cycles partition the cycles charged
+  /// to all cores. The probe, directory-lookup, upgrade,
+  /// back-invalidation and writeback sites are read from the counters
+  /// above (each cache's access() runs only in access_line); the other
+  /// sites are counted as they happen.
+  obs::ProfSnapshot profile() const;
 
   /// Heater-vs-application LLC occupancy (zeros when there is no LLC).
   LlcOccupancy llc_occupancy() const;
@@ -219,6 +228,8 @@ class CoherentHierarchy {
   Cycles llc_latency_ = 0;
   LineMap<DirEntry> directory_;
   CoherenceStats coh_;
+  // The profile sites no other counter isolates (profile() adds the rest).
+  obs::ProfSnapshot prof_;
   // pollute()'s back-invalidation list, kept to reuse its capacity.
   std::vector<Addr> pollute_gone_;
   // Audit-only: lines legitimately violating LLC inclusion through the

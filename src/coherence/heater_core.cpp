@@ -23,30 +23,11 @@ ExecHeater::ExecHeater(CoherentHierarchy& hier, unsigned heater_core,
 }
 
 std::size_t ExecHeater::register_region(Addr addr, std::size_t bytes) {
-  SEMPERM_ASSERT(bytes > 0);
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = regions_.size();
-    regions_.emplace_back();
-  }
-  regions_[slot] = Region{addr, bytes, /*live=*/true};
-  ++live_;
-  registered_bytes_ += bytes;
-  return slot;
+  return registry_.register_region(addr, bytes);
 }
 
 void ExecHeater::unregister_region(std::size_t handle) {
-  SEMPERM_ASSERT(handle < regions_.size());
-  SEMPERM_ASSERT_MSG(regions_[handle].live, "double unregister");
-  regions_[handle].live = false;
-  free_slots_.push_back(handle);
-  SEMPERM_ASSERT(live_ > 0);
-  --live_;
-  SEMPERM_ASSERT(registered_bytes_ >= regions_[handle].bytes);
-  registered_bytes_ -= regions_[handle].bytes;
+  registry_.unregister_region(handle);
 }
 
 Cycles ExecHeater::budget_cycles() const {
@@ -67,7 +48,8 @@ std::uint64_t ExecHeater::refresh() {
 
   // Walk every slot, live or tombstoned — the heater cannot skip what it
   // has not read.
-  for (std::size_t s = 0; s < regions_.size(); ++s) {
+  const auto& regions = registry_.regions;
+  for (std::size_t s = 0; s < regions.size(); ++s) {
     spent += hier_->access_line(heater_core_, slot_line(s));
     spent += config_.scan_cost_per_region;
   }
@@ -76,7 +58,7 @@ std::uint64_t ExecHeater::refresh() {
   // budget runs out — whichever the race decides.
   std::uint64_t cold = 0;
   std::size_t heated_bytes = 0;
-  for (const Region& r : regions_) {
+  for (const cachesim::HeaterRegistry::Region& r : regions) {
     if (!r.live) continue;
     if (spent >= budget || heated_bytes >= capacity_) break;
     const Addr first = line_of(r.addr);
@@ -90,7 +72,7 @@ std::uint64_t ExecHeater::refresh() {
     }
   }
 
-  const std::size_t goal = std::min(registered_bytes_, capacity_);
+  const std::size_t goal = std::min(registry_.registered_bytes, capacity_);
   coverage_ = goal > 0 ? std::min(1.0, static_cast<double>(heated_bytes) /
                                            static_cast<double>(goal))
                        : 1.0;
@@ -105,12 +87,14 @@ Cycles ExecHeater::mutation_cost() {
   // pass, each write is a real M→I intervention + invalidation — the
   // measured equivalent of the analytic lock_transfer charge.
   Cycles cost = hier_->access_line(app_core_, lock_line(), /*write=*/true);
+  const auto& regions = registry_.regions;
+  const auto& free_slots = registry_.free_slots;
   const std::size_t slot =
-      free_slots_.empty() ? (regions_.empty() ? 0 : regions_.size() - 1)
-                          : free_slots_.back();
+      free_slots.empty() ? (regions.empty() ? 0 : regions.size() - 1)
+                         : free_slots.back();
   cost += hier_->access_line(app_core_, slot_line(slot), /*write=*/true);
   // Registry walk under the lock (pointer chase over the slot array).
-  cost += config_.scan_cost_per_region * static_cast<Cycles>(regions_.size());
+  cost += config_.scan_cost_per_region * static_cast<Cycles>(regions.size());
   return cost;
 }
 

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "cachesim/heater.hpp"
 #include "coherence/coherent_hierarchy.hpp"
@@ -57,21 +56,15 @@ class ExecHeater {
   /// (lock line + slot line) on the app core plus the registry walk.
   Cycles mutation_cost();
 
-  std::size_t live_regions() const { return live_; }
-  std::size_t registered_bytes() const { return registered_bytes_; }
-  std::size_t slot_count() const { return regions_.size(); }
+  std::size_t live_regions() const { return registry_.live; }
+  std::size_t registered_bytes() const { return registry_.registered_bytes; }
+  std::size_t slot_count() const { return registry_.regions.size(); }
   std::size_t capacity_bytes() const { return capacity_; }
   std::uint64_t total_refreshed_lines() const { return refreshed_lines_; }
   /// Cycles the heater core spent in the most recent pass.
   Cycles last_pass_cycles() const { return last_pass_cycles_; }
 
  private:
-  struct Region {
-    Addr addr = 0;
-    std::size_t bytes = 0;
-    bool live = false;
-  };
-
   Addr lock_line() const { return kRegistryBase; }
   Addr slot_line(std::size_t slot) const {
     return kRegistryBase + 1 + static_cast<Addr>(slot);
@@ -83,10 +76,7 @@ class ExecHeater {
   unsigned app_core_;
   cachesim::SimHeaterConfig config_;
   std::size_t capacity_;
-  std::vector<Region> regions_;
-  std::vector<std::size_t> free_slots_;
-  std::size_t live_ = 0;
-  std::size_t registered_bytes_ = 0;
+  cachesim::HeaterRegistry registry_;
   std::uint64_t refreshed_lines_ = 0;
   double coverage_ = 1.0;
   Cycles last_pass_cycles_ = 0;

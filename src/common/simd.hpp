@@ -12,7 +12,8 @@
 //                     the mask replace the scalar bookkeeping loop)
 //
 // Both are defined over unaligned 64-bit lanes so the SoA arrays need no
-// layout change. A backend is chosen once at compile time:
+// layout change. A backend is chosen once at compile time, from what the
+// target offers:
 //
 //   AVX2    4 lanes/op   x86-64 with -mavx2 (or -march=native on most
 //                        post-2013 parts)
@@ -21,8 +22,7 @@
 //                        otherwise emulates 64-bit lane equality with
 //                        pcmpeqd + a lane-swapped AND)
 //   NEON    2 lanes/op   aarch64
-//   scalar  1 lane/op    everything else, and any build configured with
-//                        -DSEMPERM_SIMD=OFF (the CI rot-guard)
+//   scalar  1 lane/op    everything else
 //
 // backend() returns the chosen name at runtime so bench reports can prove
 // which path was measured. The *_scalar variants are always compiled —
@@ -42,20 +42,16 @@
 #include <cstddef>
 #include <cstdint>
 
-#ifndef SEMPERM_SIMD
-#define SEMPERM_SIMD 1
-#endif
-
-#if SEMPERM_SIMD && defined(__AVX2__)
+#if defined(__AVX2__)
 #define SEMPERM_SIMD_BACKEND_AVX2 1
 #include <immintrin.h>
-#elif SEMPERM_SIMD && (defined(__SSE2__) || defined(_M_X64))
+#elif defined(__SSE2__) || defined(_M_X64)
 #define SEMPERM_SIMD_BACKEND_SSE2 1
 #include <emmintrin.h>
 #if defined(__SSE4_1__)
 #include <smmintrin.h>
 #endif
-#elif SEMPERM_SIMD && defined(__ARM_NEON)
+#elif defined(__ARM_NEON)
 #define SEMPERM_SIMD_BACKEND_NEON 1
 #include <arm_neon.h>
 #else

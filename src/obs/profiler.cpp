@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iomanip>
-#include <memory>
 #include <sstream>
-#include <vector>
-
-#include "common/mutex.hpp"
 
 namespace semperm::obs {
 
@@ -46,59 +42,6 @@ const char* prof_site_label(ProfSite site) {
 
 const char* prof_site_stack(ProfSite site) {
   return kSiteNames[static_cast<std::size_t>(site)].stack;
-}
-
-#if SEMPERM_TRACE
-
-namespace {
-
-// Every thread's buckets, kept alive past thread exit so a post-join
-// aggregation still sees worker cycles. Guarded by a plain mutex: the
-// hot path touches it only once per thread (registration).
-struct ProfRegistry {
-  Mutex mu;
-  std::vector<std::unique_ptr<ProfBuckets>> threads;
-};
-
-ProfRegistry& prof_registry() {
-  static ProfRegistry* r = new ProfRegistry();  // semperm-analyze: allow(alloc-raw-new) -- deliberately leaked so the registry outlives thread-local destructors; a unique_ptr would reintroduce the teardown race
-  return *r;
-}
-
-ProfBuckets* register_thread() {
-  ProfRegistry& r = prof_registry();
-  MutexLock lock(r.mu);
-  r.threads.push_back(std::make_unique<ProfBuckets>());
-  return r.threads.back().get();
-}
-
-}  // namespace
-
-ProfBuckets& prof_thread_buckets() {
-  thread_local ProfBuckets* b = register_thread();
-  return *b;
-}
-
-void prof_enable(bool on) {
-  detail::g_prof_enabled.store(on, std::memory_order_relaxed);
-}
-
-void prof_reset() {
-  ProfRegistry& r = prof_registry();
-  MutexLock lock(r.mu);
-  for (auto& t : r.threads) *t = ProfBuckets{};
-}
-
-ProfSnapshot prof_aggregate() {
-  ProfSnapshot snap;
-  ProfRegistry& r = prof_registry();
-  MutexLock lock(r.mu);
-  for (const auto& t : r.threads)
-    for (std::size_t s = 0; s < kProfSiteCount; ++s) {
-      snap.cycles[s] += t->cycles[s];
-      snap.ops[s] += t->ops[s];
-    }
-  return snap;
 }
 
 std::string prof_table(const ProfSnapshot& snap) {
@@ -143,7 +86,5 @@ std::string prof_collapsed(const ProfSnapshot& snap) {
   }
   return os.str();
 }
-
-#endif  // SEMPERM_TRACE
 
 }  // namespace semperm::obs

@@ -1,11 +1,10 @@
 // semperm/obs/profiler.hpp
 //
-// Simulated-cycle profiler (DESIGN.md §16): per-site attribution of the
-// cycles the coherent access path charges, accumulated in per-thread
-// bucket arrays so the ROADMAP item-4 bottleneck claim ("the coherent
-// mix is dominated by MESI bookkeeping, not probe arithmetic") is
-// reproducible from `bench_selfperf --profile` instead of an external
-// profiler.
+// Simulated-cycle profile (DESIGN.md §16.2): per-site attribution of the
+// cycles the coherent access path charges, so the ROADMAP item-4
+// bottleneck claim ("the coherent mix is dominated by MESI bookkeeping,
+// not probe arithmetic") is reproducible from `bench_selfperf --profile`
+// instead of an external profiler.
 //
 // Each ProfSite is one branch of CoherentHierarchy::access_line (plus
 // the heater touch path): the cycles recorded per site are exactly the
@@ -14,17 +13,14 @@
 // transitions, writebacks, back-invalidations) record operation counts
 // only — they measure protocol *traffic*, not modeled latency.
 //
-// Like the trace probes, everything here compiles away when
-// SEMPERM_TRACE is 0; with it compiled in but not enabled, each probe is
-// one relaxed atomic load and a predicted branch. Enabling is
-// independent of trace sessions (`--profile` works without `--trace`).
+// Every CoherentHierarchy keeps its own profile in every build and hands
+// it out as a ProfSnapshot (CoherentHierarchy::profile()); nothing here
+// is gated by a build plane or a run-time switch.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "obs/trace.hpp"
 
 namespace semperm::obs {
 
@@ -56,10 +52,25 @@ inline constexpr std::size_t kProfSiteCount =
 const char* prof_site_label(ProfSite site);
 const char* prof_site_stack(ProfSite site);
 
-/// Aggregated bucket values (sum over threads).
+/// Per-site simulated cycles and operation counts.
 struct ProfSnapshot {
   std::uint64_t cycles[kProfSiteCount] = {};
   std::uint64_t ops[kProfSiteCount] = {};
+
+  /// Record `n` operations costing `cyc` cycles in total against `site`.
+  void add(ProfSite site, std::uint64_t n, std::uint64_t cyc) {
+    const auto s = static_cast<std::size_t>(site);
+    ops[s] += n;
+    cycles[s] += cyc;
+  }
+
+  ProfSnapshot& operator+=(const ProfSnapshot& o) {
+    for (std::size_t s = 0; s < kProfSiteCount; ++s) {
+      cycles[s] += o.cycles[s];
+      ops[s] += o.ops[s];
+    }
+    return *this;
+  }
 
   std::uint64_t total_cycles() const {
     std::uint64_t t = 0;
@@ -68,78 +79,9 @@ struct ProfSnapshot {
   }
 };
 
-#if SEMPERM_TRACE
-
-namespace detail {
-/// Flipped by prof_enable(). Inline so every probe site reads the same
-/// flag without a cross-TU call.
-inline std::atomic<bool> g_prof_enabled{false};
-}  // namespace detail
-
-/// Is the profiler recording? The one check every probe performs.
-inline bool prof_on() {
-  return detail::g_prof_enabled.load(std::memory_order_relaxed);
-}
-
-/// Per-thread bucket storage. Registered process-wide on first use and
-/// kept alive past thread exit, so aggregation after a join sees every
-/// worker's cycles.
-struct ProfBuckets {
-  std::uint64_t cycles[kProfSiteCount] = {};
-  std::uint64_t ops[kProfSiteCount] = {};
-};
-
-ProfBuckets& prof_thread_buckets();
-
-void prof_enable(bool on);
-/// Zero every registered thread's buckets.
-void prof_reset();
-/// Sum over every registered thread (live or exited).
-ProfSnapshot prof_aggregate();
-
 /// Per-site table sorted by cycles (share of total, ops, cycles/op).
 std::string prof_table(const ProfSnapshot& snap);
 /// flamegraph.pl collapsed-stack lines: "frame;frame cycles\n" per site.
 std::string prof_collapsed(const ProfSnapshot& snap);
-
-/// Record `n` simulated cycles (and one operation) against `site`.
-/// `site` is a bare enumerator name (kLlcProbe).
-#define SEMPERM_PROF_ADD(site, n)                                    \
-  do {                                                               \
-    if (::semperm::obs::prof_on()) {                                 \
-      auto& semperm_prof_b = ::semperm::obs::prof_thread_buckets();  \
-      constexpr auto semperm_prof_s = static_cast<std::size_t>(      \
-          ::semperm::obs::ProfSite::site);                           \
-      semperm_prof_b.cycles[semperm_prof_s] +=                       \
-          static_cast<std::uint64_t>(n);                             \
-      ++semperm_prof_b.ops[semperm_prof_s];                          \
-    }                                                                \
-  } while (0)
-
-/// Record one operation against a site that charges no cycles.
-#define SEMPERM_PROF_COUNT(site)                                     \
-  do {                                                               \
-    if (::semperm::obs::prof_on())                                   \
-      ++::semperm::obs::prof_thread_buckets().ops[static_cast<       \
-          std::size_t>(::semperm::obs::ProfSite::site)];             \
-  } while (0)
-
-#else  // !SEMPERM_TRACE
-
-inline bool prof_on() { return false; }
-inline void prof_enable(bool) {}
-inline void prof_reset() {}
-inline ProfSnapshot prof_aggregate() { return {}; }
-inline std::string prof_table(const ProfSnapshot&) { return {}; }
-inline std::string prof_collapsed(const ProfSnapshot&) { return {}; }
-
-#define SEMPERM_PROF_ADD(site, n) \
-  do {                            \
-  } while (0)
-#define SEMPERM_PROF_COUNT(site) \
-  do {                           \
-  } while (0)
-
-#endif  // SEMPERM_TRACE
 
 }  // namespace semperm::obs

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "fault/fault.hpp"
-
 namespace semperm::simmpi {
 
 struct NetworkModel {
@@ -45,59 +43,5 @@ inline NetworkModel omnipath() {
 inline NetworkModel mellanox_qdr() {
   return NetworkModel{"Mlx-QDR", 1500.0, 3.0};
 }
-
-/// Decorator over a NetworkModel for a lossy wire (DESIGN.md §12): the
-/// same latency/bandwidth parameters, plus the fault plan's drop/delay
-/// rates folded into *expected* transfer time under the reliability
-/// sublayer's stop-and-retransmit recovery. Analytic experiment drivers
-/// use the expectation; execution-driven drivers ask message_fate() for
-/// the deterministic per-frame decision (the same splitmix64 roll the
-/// simmpi transport makes, so analytic replays line up with chaos runs).
-class LossyNetworkModel {
- public:
-  LossyNetworkModel(NetworkModel base, const fault::FaultPlan& plan,
-                    std::uint64_t retransmit_timeout_ns = 200'000)
-      : base_(std::move(base)),
-        plan_(plan),
-        retransmit_timeout_ns_(retransmit_timeout_ns) {}
-
-  const NetworkModel& base() const { return base_; }
-  const fault::FaultPlan& plan() const { return plan_; }
-  std::string name() const { return base_.name + "+lossy"; }
-
-  /// Deterministic fate of transmission `attempt` of frame `seq` on the
-  /// pair — delegates to the injector's pure roll.
-  fault::FaultDecision message_fate(int src, int dst, std::uint64_t seq,
-                                    std::uint32_t attempt = 0) const {
-    fault::FaultInjector inj(plan_);
-    return inj.decide(src, dst, seq, attempt);
-  }
-
-  /// Expected transmissions per frame under the drop rate (geometric).
-  double expected_attempts() const {
-    const double p = plan_.site(fault::FaultSite::kNetDrop).probability;
-    return p < 1.0 ? 1.0 / (1.0 - p) : 1.0;
-  }
-
-  /// First-order expected time on the wire for `bytes` of payload: every
-  /// failed attempt costs one retransmit timeout plus a fresh transfer,
-  /// and delay spikes add their rate-weighted expectation.
-  double transfer_ns(std::size_t bytes) const {
-    const double once = base_.transfer_ns(bytes);
-    const double a = expected_attempts();
-    const double p_delay =
-        plan_.site(fault::FaultSite::kNetDelay).probability;
-    return a * once +
-           (a - 1.0) * static_cast<double>(retransmit_timeout_ns_) +
-           p_delay * static_cast<double>(plan_.delay_spike_ns);
-  }
-
-  double bandwidth_mibps() const { return base_.bandwidth_mibps(); }
-
- private:
-  NetworkModel base_;
-  fault::FaultPlan plan_;
-  std::uint64_t retransmit_timeout_ns_;
-};
 
 }  // namespace semperm::simmpi

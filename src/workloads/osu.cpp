@@ -260,50 +260,4 @@ OsuResult run_osu_bw(const OsuParams& params) {
                 params.window * params.msg_bytes);
 }
 
-OsuResult run_osu_latency(const OsuParams& params) {
-  SEMPERM_ASSERT(params.iterations > 0);
-  Bench bench(params);
-
-  RunningStats iter_time_ns;
-  RunningStats match_ns_per_msg;
-
-  const std::size_t total_iters = params.warmup_iterations + params.iterations;
-  for (std::size_t it = 0; it < total_iters; ++it) {
-    const bool measured = it >= params.warmup_iterations;
-    if (measured && it == params.warmup_iterations) {
-      bench.hier.reset_stats();
-      bench.bundle->prq().reset_stats();
-    }
-    bench.begin_iteration();
-
-    const Cycles mark = bench.mem.cycles();
-    match::MatchRequest recv(match::RequestKind::kRecv, it);
-    match::MatchRequest* hit = bench.bundle->post_recv(
-        match::Pattern::make(kSenderRank, 0, 0), &recv);
-    SEMPERM_ASSERT(hit == nullptr);
-    bench.charge_heater_mutation();
-    match::MatchRequest msg(match::RequestKind::kUnexpected, it);
-    match::MatchRequest* done =
-        bench.bundle->incoming(match::Envelope{0, kSenderRank, 0}, &msg);
-    SEMPERM_ASSERT(done != nullptr);
-    bench.charge_heater_mutation();
-    const Cycles match_cycles = bench.mem.cycles() - mark;
-
-    // One-way time: wire + software overhead + matching (+ any chaos
-    // penalty for this message's fate).
-    const double one_way_ns =
-        params.net.transfer_ns(params.msg_bytes) + params.arch.sw_overhead_ns +
-        params.arch.cycles_to_ns(match_cycles) +
-        bench.fault_wire_extra_ns(static_cast<double>(params.msg_bytes) /
-                                  params.net.bandwidth_bytes_per_ns);
-    if (measured) {
-      iter_time_ns.add(one_way_ns);
-      match_ns_per_msg.add(params.arch.cycles_to_ns(match_cycles));
-      bench.match_cycles_hist.add(match_cycles);
-    }
-  }
-
-  return finish(bench, iter_time_ns, match_ns_per_msg, 1, params.msg_bytes);
-}
-
 }  // namespace semperm::workloads

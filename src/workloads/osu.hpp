@@ -86,7 +86,4 @@ struct OsuResult {
 /// Modified osu_bw: streaming window of same-size messages.
 OsuResult run_osu_bw(const OsuParams& params);
 
-/// Modified osu_latency: ping-pong, one message in flight.
-OsuResult run_osu_latency(const OsuParams& params);
-
 }  // namespace semperm::workloads

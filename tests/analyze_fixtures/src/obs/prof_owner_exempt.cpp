@@ -2,11 +2,10 @@
 // for the observability probes (DESIGN.md §16).
 //
 // Expected findings: hotpath-alloc x1 — the push_back at the tail of the
-// hot probe. Everything inside SEMPERM_PROF_ADD / SEMPERM_PROF_COUNT /
-// SEMPERM_OWNER_SCOPE arguments must stay clean: those macros expand to
-// nothing when SEMPERM_TRACE is 0, so — exactly like SEMPERM_AUDIT_ONLY —
-// allocation-looking calls in their arguments never run in Release and
-// must not count against the hot path.
+// hot probe. Everything inside SEMPERM_OWNER_SCOPE arguments must stay
+// clean: the macro expands to nothing when SEMPERM_TRACE is 0, so —
+// exactly like SEMPERM_AUDIT_ONLY — allocation-looking calls in its
+// arguments never run in Release and must not count against the hot path.
 
 #include <vector>
 
@@ -15,8 +14,6 @@ namespace semperm::fixture {
 class ObservedProbeRing {
  public:
   SEMPERM_HOT int probe(int key) {
-    SEMPERM_PROF_COUNT(kL1Probe);
-    SEMPERM_PROF_ADD(kDirLookup, (prof_log_.push_back(key), prof_log_.size()));
     SEMPERM_OWNER_SCOPE((owner_log_.emplace_back(key), kOwnerWorkload));
     scratch_.push_back(key);  // the one genuine finding
     return key;
@@ -24,7 +21,6 @@ class ObservedProbeRing {
 
  private:
   std::vector<int> scratch_;
-  std::vector<int> prof_log_;
   std::vector<int> owner_log_;
 };
 

@@ -8,9 +8,10 @@
 // std::unordered_map for both tables) as the oracle for
 // tests/test_coherence_diff.cpp, which replays randomized multi-core op
 // sequences through both and requires identical cycles, counters, MESI
-// states, residency and profiler op counts. The profiler hooks stay: they
-// pin the per-site op counts of the batched paths. Do not "optimise" this
-// file: its value is being the old implementation.
+// states, residency and profiles. Its profile hooks count every site where
+// it happens, into the instance's own snapshot, so they check the sites
+// CoherentHierarchy reads from its other counters independently. Do not
+// "optimise" this file: its value is being the old implementation.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +38,7 @@ class ReferenceCoherentHierarchy {
   using SetAssocCache = cachesim::SetAssocCache;
   using FillReason = cachesim::FillReason;
   using LineClass = cachesim::LineClass;
+  using ProfSite = obs::ProfSite;
 
   struct HeaterTouch {
     Cycles cycles = 0;
@@ -69,11 +71,11 @@ class ReferenceCoherentHierarchy {
     if (cs.l1.access(line)) {
       serving = 0;
       cost = arch_.l1.hit_latency;
-      SEMPERM_PROF_ADD(kL1Probe, cost);
+      prof_.add(ProfSite::kL1Probe, 1, cost);
     } else if (cs.l2.access(line)) {
       serving = 1;
       cost = arch_.l2.hit_latency;
-      SEMPERM_PROF_ADD(kL2Probe, cost);
+      prof_.add(ProfSite::kL2Probe, 1, cost);
     }
 
     if (serving <= 1) {
@@ -82,7 +84,7 @@ class ReferenceCoherentHierarchy {
           ++coh_.snoops;
           ++coh_.upgrades;
           cost += arch_.snoop_latency;
-          SEMPERM_PROF_ADD(kUpgradeSnoop, arch_.snoop_latency);
+          prof_.add(ProfSite::kUpgradeSnoop, 1, arch_.snoop_latency);
           invalidate_remotes(core, line);
         }
         set_state(core, line, MesiState::kModified);
@@ -90,7 +92,7 @@ class ReferenceCoherentHierarchy {
     } else {
       int owner = -1;
       std::uint64_t remotes = 0;
-      SEMPERM_PROF_COUNT(kDirLookup);
+      prof_.add(ProfSite::kDirLookup, 1, 0);
       if (const auto dit = directory_.find(line); dit != directory_.end()) {
         remotes = dit->second.sharers & ~bit(core);
         const int o = dit->second.owner;
@@ -101,8 +103,8 @@ class ReferenceCoherentHierarchy {
         ++coh_.interventions;
         ++coh_.dirty_writebacks;
         cost = arch_.intervention_latency;
-        SEMPERM_PROF_ADD(kIntervention, cost);
-        SEMPERM_PROF_COUNT(kWriteback);
+        prof_.add(ProfSite::kIntervention, 1, cost);
+        prof_.add(ProfSite::kWriteback, 1, 0);
         llc_fill(line, FillReason::kDemand, /*dirty=*/true);
         if (write) {
           cores_[owner].l1.invalidate(line);
@@ -115,12 +117,12 @@ class ReferenceCoherentHierarchy {
       } else if (llc_ && llc_->access(line)) {
         serving = 2;
         cost = llc_latency_;
-        SEMPERM_PROF_ADD(kLlcProbe, llc_latency_);
+        prof_.add(ProfSite::kLlcProbe, 1, llc_latency_);
         if (remotes != 0) {
           if (write) {
             ++coh_.snoops;
             cost += arch_.snoop_latency;
-            SEMPERM_PROF_ADD(kWriteInvalidate, arch_.snoop_latency);
+            prof_.add(ProfSite::kWriteInvalidate, 1, arch_.snoop_latency);
             invalidate_remotes(core, line);
           } else {
             std::uint64_t rem = remotes;
@@ -132,7 +134,7 @@ class ReferenceCoherentHierarchy {
                 ++coh_.snoops;
                 ++coh_.clean_downgrades;
                 cost += arch_.snoop_latency;
-                SEMPERM_PROF_ADD(kCleanDowngrade, arch_.snoop_latency);
+                prof_.add(ProfSite::kCleanDowngrade, 1, arch_.snoop_latency);
               }
             }
           }
@@ -140,7 +142,7 @@ class ReferenceCoherentHierarchy {
       } else if (remotes != 0) {
         ++coh_.snoops;
         cost = arch_.intervention_latency;
-        SEMPERM_PROF_ADD(kRemoteForward, cost);
+        prof_.add(ProfSite::kRemoteForward, 1, cost);
         if (write) {
           invalidate_remotes(core, line);
         } else {
@@ -158,7 +160,7 @@ class ReferenceCoherentHierarchy {
       } else {
         cost = arch_.dram_latency;
         ++cs.stats.dram_fetches;
-        SEMPERM_PROF_ADD(kDramFill, cost);
+        prof_.add(ProfSite::kDramFill, 1, cost);
         if (llc_) llc_fill(line, FillReason::kDemand, /*dirty=*/false);
       }
     }
@@ -202,7 +204,7 @@ class ReferenceCoherentHierarchy {
       ++coh_.snoops;
       ++coh_.interventions;
       ++coh_.dirty_writebacks;
-      SEMPERM_PROF_COUNT(kWriteback);
+      prof_.add(ProfSite::kWriteback, 1, 0);
       set_state(static_cast<unsigned>(owner), line, MesiState::kShared);
       t.cycles = arch_.intervention_latency;
       llc_fill(line, FillReason::kHeater, /*dirty=*/true);
@@ -215,7 +217,7 @@ class ReferenceCoherentHierarchy {
       ++cs.stats.dram_fetches;
       llc_fill(line, FillReason::kHeater, /*dirty=*/false);
     }
-    SEMPERM_PROF_ADD(kHeaterTouch, t.cycles);
+    prof_.add(ProfSite::kHeaterTouch, 1, t.cycles);
     cs.stats.total_cycles += t.cycles;
     return t;
   }
@@ -279,6 +281,8 @@ class ReferenceCoherentHierarchy {
 
   const CoherenceStats& coherence_stats() const { return coh_; }
 
+  const obs::ProfSnapshot& profile() const { return prof_; }
+
  private:
   struct CoreStack {
     SetAssocCache l1;
@@ -317,7 +321,7 @@ class ReferenceCoherentHierarchy {
   }
 
   void set_state(unsigned core, Addr line, MesiState st) {
-    SEMPERM_PROF_COUNT(kMesiTransition);
+    prof_.add(ProfSite::kMesiTransition, 1, 0);
     cores_[core].state[line] = st;
     DirEntry& e = directory_[line];
     e.sharers |= bit(core);
@@ -328,7 +332,7 @@ class ReferenceCoherentHierarchy {
   }
 
   void drop_sharer(unsigned core, Addr line) {
-    SEMPERM_PROF_COUNT(kMesiTransition);
+    prof_.add(ProfSite::kMesiTransition, 1, 0);
     cores_[core].state.erase(line);
     const auto it = directory_.find(line);
     if (it == directory_.end()) return;
@@ -345,7 +349,7 @@ class ReferenceCoherentHierarchy {
       const auto it = cores_[c].state.find(line);
       if (it != cores_[c].state.end() && it->second == MesiState::kModified) {
         ++coh_.dirty_writebacks;
-        SEMPERM_PROF_COUNT(kWriteback);
+        prof_.add(ProfSite::kWriteback, 1, 0);
         if (llc_) llc_->mark_dirty(line);
       }
       cores_[c].l1.invalidate(line);
@@ -381,13 +385,13 @@ class ReferenceCoherentHierarchy {
       const auto st = cores_[c].state.find(ev.line);
       if (st != cores_[c].state.end() && st->second == MesiState::kModified) {
         ++coh_.dirty_writebacks;
-        SEMPERM_PROF_COUNT(kWriteback);
+        prof_.add(ProfSite::kWriteback, 1, 0);
       }
       cores_[c].l1.invalidate(ev.line);
       cores_[c].l2.invalidate(ev.line);
       drop_sharer(c, ev.line);
       ++coh_.back_invalidations;
-      SEMPERM_PROF_COUNT(kBackInvalidate);
+      prof_.add(ProfSite::kBackInvalidate, 1, 0);
     }
   }
 
@@ -445,6 +449,7 @@ class ReferenceCoherentHierarchy {
   Cycles llc_latency_ = 0;
   std::unordered_map<Addr, DirEntry> directory_;
   CoherenceStats coh_;
+  obs::ProfSnapshot prof_;
 };
 
 }  // namespace semperm::coherence::testing

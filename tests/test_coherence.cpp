@@ -254,9 +254,14 @@ TEST(CoherentHierarchyTest, CoreStatsExposePerLevelSummaries) {
   // attributed to them.
   EXPECT_GT(stats.levels[0].prefetch_fills + stats.levels[1].prefetch_fills,
             0u);
+  EXPECT_GT(h.profile().total_cycles(), 0u);
   h.reset_stats();
   EXPECT_EQ(h.core_stats(0).lines_touched, 0u);
   EXPECT_EQ(h.coherence_stats().total_events(), 0u);
+  const obs::ProfSnapshot p = h.profile();
+  for (std::size_t s = 0; s < obs::kProfSiteCount; ++s)
+    EXPECT_EQ(p.ops[s] + p.cycles[s], 0u)
+        << obs::prof_site_label(static_cast<obs::ProfSite>(s));
 }
 
 TEST(CoherentHierarchyTest, ReportMentionsCoresAndCoherence) {

@@ -192,17 +192,6 @@ TEST(OsuBw, StallPlanWithoutHeaterTaxesNothing) {
   expect_same_result(stalled, clean);
 }
 
-TEST(OsuLatency, ScalesWithMessageSizeAndDepth) {
-  auto p = quick("baseline", 1, 1);
-  const auto tiny = run_osu_latency(p);
-  p.msg_bytes = 1 << 16;
-  const auto big = run_osu_latency(p);
-  EXPECT_GT(big.msg_time_ns, tiny.msg_time_ns);
-  auto q = quick("baseline", 1, 2048);
-  const auto deep = run_osu_latency(q);
-  EXPECT_GT(deep.msg_time_ns, tiny.msg_time_ns);
-}
-
 TEST(HeaterModeNames, Stable) {
   EXPECT_EQ(heater_mode_name(HeaterMode::kOff), "off");
   EXPECT_EQ(heater_mode_name(HeaterMode::kPerElement), "HC");

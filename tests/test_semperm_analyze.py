@@ -49,8 +49,8 @@ EXPECTED = {
         "hotpath-alloc": 2,
     },
     # Negative control: allocations hidden inside the compiled-out
-    # SEMPERM_PROF_* / SEMPERM_OWNER_SCOPE observability macros must not
-    # fire; only the genuine tail push_back counts.
+    # SEMPERM_OWNER_SCOPE attribution macro must not fire; only the
+    # genuine tail push_back counts.
     "src/obs/prof_owner_exempt.cpp": {
         "hotpath-alloc": 1,
     },

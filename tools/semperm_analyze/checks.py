@@ -259,8 +259,7 @@ def _body_alloc_findings(fn: FuncDef, root: FuncDef,
             while exempt_depth and depth < exempt_depth[-1]:
                 exempt_depth.pop()
         elif t.kind == "id" and t.text.startswith(
-                ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_PROF",
-                 "SEMPERM_OWNER")) and \
+                ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_OWNER")) and \
                 i + 1 < len(body) and body[i + 1].text == "(":
             exempt_depth.append(depth + 1)
         elif t.text == "new" and t.kind == "id" and not exempt_depth:

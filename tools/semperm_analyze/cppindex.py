@@ -10,8 +10,7 @@ Builds, from the token stream, the three structures the checks consume:
   * CallSite  — extracted per function body: callee name, how it was
                 qualified (plain / member / scoped), and whether the call
                 sits inside a compiled-out instrumentation macro
-                (SEMPERM_AUDIT_ONLY / SEMPERM_TRACE_* / SEMPERM_PROF_* /
-                SEMPERM_OWNER_*).
+                (SEMPERM_AUDIT_ONLY / SEMPERM_TRACE_* / SEMPERM_OWNER_*).
 
 The parser is deliberately structural, not semantic: it tracks brace,
 paren, and angle nesting plus scope names, which is sufficient to resolve
@@ -37,11 +36,9 @@ _NOT_CALLS = {
 
 # Instrumentation macros whose arguments are compiled out of measurement
 # builds: calls inside them never run on a protected hot path. The
-# SEMPERM_PROF_* profiler probes and SEMPERM_OWNER_SCOPE attribution
-# macro (DESIGN.md §16) expand to nothing when SEMPERM_TRACE is 0, so
-# they earn the same exemption.
-_EXEMPT_MACRO_PREFIXES = ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_PROF",
-                          "SEMPERM_OWNER")
+# SEMPERM_OWNER_SCOPE attribution macro (DESIGN.md §16) expands to
+# nothing when SEMPERM_TRACE is 0, so it earns the same exemption.
+_EXEMPT_MACRO_PREFIXES = ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_OWNER")
 
 
 def _is_macroish(name: str) -> bool:
