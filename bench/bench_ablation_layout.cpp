@@ -11,14 +11,49 @@
 // (tombstones) rather than compacting. Deleting every other entry doubles
 // the slots a search scans; this part quantifies the tombstone tax on the
 // simulated substrate (slots scanned, cycles per search).
+//
+// Also prints the Fig.-2 packing report for the 24-byte / 16-byte entries,
+// on stdout only: the packing is fixed at compile time (static_asserted),
+// so the --json report carries nothing of it.
+
+#include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "cachesim/mem_model.hpp"
+#include "match/entry.hpp"
+#include "match/lla_queue.hpp"
+#include "memlayout/layout.hpp"
 #include "workloads/osu.hpp"
 
 namespace {
 
 using namespace semperm;
+
+void print_layout_report() {
+  using memlayout::LayoutSpec;
+  LayoutSpec posted{"PostedEntry (PRQ, Fig. 2)", sizeof(match::PostedEntry), {}};
+  posted.fields = {
+      SEMPERM_FIELD(match::PostedEntry, tag),
+      SEMPERM_FIELD(match::PostedEntry, rank),
+      SEMPERM_FIELD(match::PostedEntry, ctx),
+      SEMPERM_FIELD(match::PostedEntry, tag_mask),
+      SEMPERM_FIELD(match::PostedEntry, rank_mask),
+      SEMPERM_FIELD(match::PostedEntry, req),
+  };
+  LayoutSpec unexpected{"UnexpectedEntry (UMQ)", sizeof(match::UnexpectedEntry), {}};
+  unexpected.fields = {
+      SEMPERM_FIELD(match::UnexpectedEntry, tag),
+      SEMPERM_FIELD(match::UnexpectedEntry, rank),
+      SEMPERM_FIELD(match::UnexpectedEntry, ctx),
+      SEMPERM_FIELD(match::UnexpectedEntry, req),
+  };
+  std::fputs(posted.render().c_str(), stdout);
+  std::fputs(unexpected.render().c_str(), stdout);
+  std::printf("LLA node bytes: k=2 -> %zu, k=8 -> %zu, k=32 -> %zu (PRQ)\n\n",
+              match::lla_node_bytes(2, sizeof(match::PostedEntry)),
+              match::lla_node_bytes(8, sizeof(match::PostedEntry)),
+              match::lla_node_bytes(32, sizeof(match::PostedEntry)));
+}
 
 void run_policy_part(bool quick, bool csv) {
   std::vector<std::string> headers{"depth"};
@@ -109,6 +144,7 @@ int main(int argc, char** argv) {
   bench::add_standard_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   bench::configure_report(cli);
+  print_layout_report();
   run_policy_part(cli.flag("quick"), cli.flag("csv"));
   run_hole_part(cli.flag("quick"), cli.flag("csv"));
   return bench::finish_report();

@@ -9,61 +9,10 @@
 // is *lower* than Sandy Bridge's because its much larger LLC retains part
 // of the region across the emulated compute phases.
 
-#include <chrono>
-#include <thread>
-#include <vector>
+#include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "hotcache/heater_thread.hpp"
-#include "hotcache/region_registry.hpp"
 #include "workloads/heater_ubench.hpp"
-
-namespace {
-
-/// The real (native) heater on real memory: run the hotcache heater
-/// thread over a buffer of the requested size with hardware counters
-/// bracketing every pass, and report the measured cycles/line next to
-/// the per-line LLC behaviour. This is the perf_event_open validation
-/// panel of DESIGN.md §16 — on a machine without counter access it
-/// degrades to a throughput-only row.
-void run_native_heater_panel(std::size_t region_bytes, bool csv) {
-  using namespace semperm;
-  if (!bench::panel_enabled("native heater pass")) return;
-  std::vector<std::byte> region(region_bytes, std::byte{1});
-  hotcache::RegionRegistry registry;
-  registry.register_region(region.data(), region.size());
-  hotcache::HeaterConfig cfg;
-  cfg.period_ns = 100'000;
-  cfg.measure_hw = true;
-  hotcache::HeaterThread heater(registry, cfg);
-  heater.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  heater.stop();
-  const hotcache::HeaterStats stats = heater.stats();
-  const obs::PerfCounters::Reading hw = heater.hw_reading();
-  if (hw.valid_mask != 0)
-    bench::report_hw_counters("native_heater", hw);
-  else
-    bench::report_hw_unavailable(heater.hw_error());
-  bench::report_metric("native_heater_passes",
-                       static_cast<double>(stats.passes));
-  bench::report_metric("native_heater_lines_touched",
-                       static_cast<double>(stats.lines_touched));
-  Table table({"passes", "lines touched", "hw cycles/line", "hw LLC miss rate"});
-  const double cyc_per_line =
-      stats.lines_touched > 0 && hw.has_cycles()
-          ? static_cast<double>(hw.cycles) /
-                static_cast<double>(stats.lines_touched)
-          : 0.0;
-  table.add_row({Table::num(stats.passes), Table::num(stats.lines_touched),
-                 hw.has_cycles() ? Table::num(cyc_per_line, 2) : "-",
-                 hw.has_llc_loads() && hw.has_llc_load_misses()
-                     ? Table::num(hw.llc_miss_rate(), 4)
-                     : "-"});
-  bench::emit("native heater pass", table, csv);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace semperm;
@@ -110,9 +59,6 @@ int main(int argc, char** argv) {
   }
   bench::emit("Heater micro-benchmark: random-access iteration time", table,
               cli.flag("csv"));
-  run_native_heater_panel(
-      static_cast<std::size_t>(cli.get_int("region-kib")) * 1024,
-      cli.flag("csv"));
   std::fputs(
       "Paper reference: SandyBridge 47.5 -> 22.9 ns, Broadwell 38.5 -> 22.8 ns\n",
       stdout);

@@ -13,10 +13,6 @@
 //                               fits the LLC, collapsing once the working
 //                               set exceeds it (the paper's thesis at
 //                               "millions of users" scale).
-//   traffic self-performance    native Zipf-table build, generator and
-//                               steering throughput (*_per_sec metrics,
-//                               gated by perf-smoke against
-//                               bench/BENCH_traffic.baseline.json).
 //   traffic overload campaign   chaos × overload matrix (DESIGN.md §17.4):
 //                               steady vs flash-crowd at 1×/3×/10× offered
 //                               load × fault plans × admission on/off over
@@ -26,24 +22,21 @@
 //                               floor that must degrade gracefully.
 //
 // Everything downstream of --seed is simulated and deterministic — two
-// runs with the same seed (and the same --fault plan) emit identical
-// tables; CI asserts exactly that.
+// runs with the same seed (and the same --fault plan) write identical
+// reports; CI asserts exactly that. The native hot paths' throughput is
+// bench_selfperf's traffic_* rows.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "cachesim/arch.hpp"
-#include "common/zipf.hpp"
 #include "fault/fault.hpp"
-#include "resilience/admission.hpp"
 #include "traffic/flow_gen.hpp"
 #include "traffic/flow_table.hpp"
 #include "traffic/steering.hpp"
@@ -85,22 +78,7 @@ std::string steering_title(const cachesim::ArchProfile& arch) {
 
 constexpr const char* kCrossoverTitle =
     "traffic crossover (heater speedup at peak skew)";
-constexpr const char* kSelfperfTitle = "traffic self-performance";
 constexpr const char* kCampaignTitle = "traffic overload campaign";
-
-struct Score {
-  std::uint64_t items = 0;
-  double seconds = 0.0;
-  double per_sec() const { return seconds > 0 ? items / seconds : 0; }
-};
-
-template <typename F>
-Score timed(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t items = body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return {items, std::chrono::duration<double>(t1 - t0).count()};
-}
 
 }  // namespace
 }  // namespace semperm::bench
@@ -344,99 +322,6 @@ int main(int argc, char** argv) {
       }
     }
     bench::emit(bench::kCampaignTitle, campaign, csv);
-  }
-
-  if (bench::panel_enabled(bench::kSelfperfTitle)) {
-    // Native hot-path throughput: these are the *_per_sec metrics the
-    // perf gate compares against bench/BENCH_traffic.baseline.json.
-    const std::uint64_t n = quick ? 2'000'000 : 20'000'000;
-    std::vector<std::uint64_t> buf(8192);
-
-    // One alias-table build at the steering workload's skew: the set-up
-    // every FlowGenerator pays, timed without its teardown.
-    const std::uint64_t build_ranks =
-        quick ? std::uint64_t{1} << 20 : 10'000'000;
-    std::optional<traffic::ZipfSampler> built;
-    const bench::Score build_score = bench::timed([&] {
-      built.emplace(build_ranks, 1.05);
-      return build_ranks;
-    });
-    built.reset();
-
-    traffic::FlowGenParams gp;
-    gp.flows = std::uint64_t{1} << 20;
-    gp.zipf_s = 1.0;
-    gp.seed = seed;
-    traffic::FlowGenerator gen(gp);
-    const bench::Score gen_score = bench::timed([&] {
-      std::uint64_t sink = 0;
-      while (gen.generated() < n) sink ^= gen.next_batch(buf);
-      return sink == 0xdead ? 0 : gen.generated();
-    });
-
-    traffic::FlowGenParams fp = gp;
-    fp.pattern = traffic::TemporalPattern::kFlashCrowd;
-    fp.crowd.burst_start = n / 2;
-    fp.crowd.burst_len = n / 4;
-    traffic::FlowGenerator flash(fp);
-    const bench::Score flash_score = bench::timed([&] {
-      std::uint64_t sink = 0;
-      while (flash.generated() < n) sink ^= flash.next_batch(buf);
-      return sink == 0xdead ? 0 : flash.generated();
-    });
-
-    traffic::FlowGenParams sp = gp;
-    traffic::FlowGenerator steer_gen(sp);
-    traffic::FlowTable table(traffic::auto_geometry(gp.flows));
-    const std::uint64_t steers = quick ? 2'000'000 : 10'000'000;
-    const bench::Score steer_score = bench::timed([&] {
-      std::uint64_t hits = 0;
-      for (std::uint64_t i = 0; i < steers; ++i)
-        hits += table.steer(steer_gen.next(), nullptr) ? 1 : 0;
-      return hits == 0xdead ? 0 : steers;
-    });
-
-    // Same native steer loop with the TinyLFU admission filter attached —
-    // the resilience layer's worst-case per-lookup overhead (sketch
-    // record on every arrival, estimate pair on contested installs).
-    traffic::FlowGenerator admit_gen(sp);
-    traffic::FlowTable admit_table(traffic::auto_geometry(gp.flows));
-    resilience::AdmissionFilter admit_filter{resilience::AdmissionConfig{}};
-    admit_table.set_admission(&admit_filter);
-    const bench::Score admit_score = bench::timed([&] {
-      std::uint64_t hits = 0;
-      for (std::uint64_t i = 0; i < steers; ++i)
-        hits += admit_table.steer(admit_gen.next(), nullptr) ? 1 : 0;
-      return hits == 0xdead ? 0 : steers;
-    });
-
-    Table perf({"path", "items", "seconds", "M/s"});
-    perf.add_row({"zipf table build (s=1.05)", Table::num(build_score.items),
-                  Table::num(build_score.seconds, 3),
-                  Table::num(build_score.per_sec() / 1e6, 1)});
-    perf.add_row({"generate (steady zipf)", Table::num(gen_score.items),
-                  Table::num(gen_score.seconds, 3),
-                  Table::num(gen_score.per_sec() / 1e6, 1)});
-    perf.add_row({"generate (flash crowd)", Table::num(flash_score.items),
-                  Table::num(flash_score.seconds, 3),
-                  Table::num(flash_score.per_sec() / 1e6, 1)});
-    perf.add_row({"steer (native table)", Table::num(steer_score.items),
-                  Table::num(steer_score.seconds, 3),
-                  Table::num(steer_score.per_sec() / 1e6, 1)});
-    perf.add_row({"steer (admission filter)", Table::num(admit_score.items),
-                  Table::num(admit_score.seconds, 3),
-                  Table::num(admit_score.per_sec() / 1e6, 1)});
-    bench::report_metric("traffic_zipf_build_ranks_per_sec",
-                         build_score.per_sec());
-    bench::report_metric("traffic_gen_zipf_flows_per_sec",
-                         gen_score.per_sec());
-    bench::report_metric("traffic_gen_flash_flows_per_sec",
-                         flash_score.per_sec());
-    bench::report_metric("traffic_steer_lookups_per_sec",
-                         steer_score.per_sec());
-    bench::report_metric("traffic_steer_admission_lookups_per_sec",
-                         admit_score.per_sec());
-    bench::emit(bench::kSelfperfTitle, perf, csv);
   }
 
   return bench::finish_report();

@@ -140,9 +140,8 @@ std::string report_json(bool partial) {
   for (std::size_t i = 0; i < r.metrics.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
     append_json_string(out, r.metrics[i].first);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, ": %.6g", r.metrics[i].second);
-    out += buf;
+    out += ": ";
+    out += obs::json_number(r.metrics[i].second);
   }
   out += r.metrics.empty() ? "},\n" : "\n  },\n";
   out += "  \"tables\": [";
@@ -287,42 +286,26 @@ void configure_report(const Cli& cli) {
   const std::int64_t timeout_s = cli.get_int("timeout-s");
   if (timeout_s > 0 || !r.json_path.empty())
     start_guard_thread(timeout_s);
-  const std::int64_t sample = cli.get_int("trace-sample");
-  configure_trace(cli.get_string("trace"), cli.get_string("trace-csv"),
-                  sample > 0 ? static_cast<std::uint64_t>(sample) : 1);
+  r.trace_json_path = cli.get_string("trace");
+  r.trace_csv_path = cli.get_string("trace-csv");
+  if (!r.trace_json_path.empty() || !r.trace_csv_path.empty()) {
+#if SEMPERM_TRACE
+    const std::int64_t sample = cli.get_int("trace-sample");
+    obs::TraceConfig cfg;
+    cfg.sample_every = sample > 0 ? static_cast<std::uint64_t>(sample) : 1;
+    obs::TraceSession::instance().start(cfg);
+    r.trace_active = true;
+#else
+    std::fprintf(stderr,
+                 "warning: --trace requested but tracing is compiled out; "
+                 "rebuild with -DSEMPERM_TRACE=ON (no timeline will be "
+                 "written)\n");
+#endif
+  }
   if (cli.flag("debug-hang")) {
     std::fprintf(stderr, "bench harness: --debug-hang, sleeping forever\n");
     for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
   }
-}
-
-void configure_report(const std::string& json_path, const std::string& filter) {
-  report().json_path = json_path;
-  report().filter = filter;
-}
-
-void configure_trace(const std::string& trace_json_path,
-                     const std::string& timeseries_csv_path,
-                     std::uint64_t sample_every, bool wall_clock) {
-  ReportState& r = report();
-  r.trace_json_path = trace_json_path;
-  r.trace_csv_path = timeseries_csv_path;
-  if (trace_json_path.empty() && timeseries_csv_path.empty()) return;
-#if SEMPERM_TRACE
-  obs::TraceConfig cfg;
-  cfg.sample_every = sample_every == 0 ? 1 : sample_every;
-  cfg.domain =
-      wall_clock ? obs::ClockDomain::kWall : obs::ClockDomain::kSimulated;
-  obs::TraceSession::instance().start(cfg);
-  r.trace_active = true;
-#else
-  (void)sample_every;
-  (void)wall_clock;
-  std::fprintf(stderr,
-               "warning: --trace requested but tracing is compiled out; "
-               "rebuild with -DSEMPERM_TRACE=ON (no timeline will be "
-               "written)\n");
-#endif
 }
 
 std::uint64_t bench_seed(std::uint64_t bench_default) {

@@ -5,7 +5,7 @@
 // --trace / --trace-sample flags every bench accepts. Tables funnel
 // through emit(), which applies the panel filter and records everything
 // for the end-of-run JSON report; traces funnel through
-// configure_trace()/finish_report(), which bracket one TraceSession per
+// configure_report()/finish_report(), which bracket one TraceSession per
 // process and write the Chrome-trace JSON + timeseries outputs.
 #pragma once
 
@@ -42,25 +42,11 @@ inline std::vector<std::size_t> osu_search_depths(bool quick) {
 void add_standard_flags(Cli& cli);
 
 /// Latch the parsed --csv/--json/--filter/--trace* values for this
-/// process and, if a trace output was requested, start the process-wide
-/// trace session. Call once, right after cli.parse().
+/// process and, if --trace or --trace-csv was given, start the
+/// process-wide trace session, keeping every --trace-sample-th
+/// span/instant event (a warning, and no timeline, when tracing is
+/// compiled out). Call once, right after cli.parse().
 void configure_report(const Cli& cli);
-
-/// Variant for benches that do their own argv handling (the Google
-/// Benchmark mains): latch report settings without a Cli.
-void configure_report(const std::string& json_path, const std::string& filter);
-
-/// Start a trace session recording to `trace_json_path` (Chrome-trace
-/// JSON) and/or `timeseries_csv_path` (counter-track CSV), keeping
-/// every `sample_every`-th span/instant event. With `wall_clock` the
-/// exported timeline is ordered on the wall clock instead of simulated
-/// cycles (native-structure benches, whose work is never simulated).
-/// Prints a warning and records nothing when tracing is compiled out.
-/// configure_report(cli) calls this from the standard flags; only
-/// benches bypassing Cli need it directly.
-void configure_trace(const std::string& trace_json_path,
-                     const std::string& timeseries_csv_path,
-                     std::uint64_t sample_every, bool wall_clock = false);
 
 /// The run's RNG seed: the --seed flag when given, else `bench_default`.
 /// The resolved value is echoed in the --json report ("seed" field), so

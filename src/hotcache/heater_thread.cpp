@@ -70,8 +70,9 @@ void HeaterThread::run_single_pass() {
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns));
     }
   }
-  // Native heater passes live on the wall clock (their traffic is never
-  // simulated); the coverage counter tracks bytes re-heated per pass.
+  // A native pass is never simulated: its span sits at the calling
+  // thread's simulated clock and carries the pass's wall_ns; the coverage
+  // counter tracks bytes re-heated per pass.
   SEMPERM_TRACE_SPAN_BEGIN(semperm::obs::Category::kHeater, "heater_pass", 0,
                            registry_.slot_high_water());
   const std::size_t hw = registry_.slot_high_water();
@@ -116,50 +117,13 @@ void HeaterThread::thread_main() {
   if (config_.pin_cpu >= 0)
     pinned_.store(pin_current_thread(config_.pin_cpu), std::memory_order_relaxed);
   SEMPERM_TRACE_THREAD_NAME("heater");
-  // Hardware measurement must open on this thread: perf_event_open
-  // attaches to the calling task, and only the heater thread's own
-  // cycles/misses validate the heater's footprint.
-  std::unique_ptr<obs::PerfCounters> pc;
-  if (config_.measure_hw) {
-    pc = std::make_unique<obs::PerfCounters>();
-    if (!pc->ok()) {
-      MutexLock lock(hw_mu_);
-      hw_error_ = pc->error();
-      pc.reset();
-    }
-  }
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (!paused_.load(std::memory_order_acquire)) {
-      if (pc) pc->start();
-      run_single_pass();
-      if (pc) {
-        const obs::PerfCounters::Reading r = pc->stop();
-        MutexLock lock(hw_mu_);
-        hw_total_.cycles += r.cycles;
-        hw_total_.instructions += r.instructions;
-        hw_total_.llc_loads += r.llc_loads;
-        hw_total_.llc_load_misses += r.llc_load_misses;
-        hw_total_.l1d_misses += r.l1d_misses;
-        hw_total_.time_enabled_ns += r.time_enabled_ns;
-        hw_total_.time_running_ns += r.time_running_ns;
-        hw_total_.valid_mask |= r.valid_mask;
-      }
-    }
+    if (!paused_.load(std::memory_order_acquire)) run_single_pass();
     UniqueLock lock(wake_mutex_);
     wake_cv_.wait_for_ns(lock, config_.period_ns, [this] {
       return stop_requested_.load(std::memory_order_acquire);
     });
   }
-}
-
-obs::PerfCounters::Reading HeaterThread::hw_reading() const {
-  MutexLock lock(hw_mu_);
-  return hw_total_;
-}
-
-std::string HeaterThread::hw_error() const {
-  MutexLock lock(hw_mu_);
-  return hw_error_;
 }
 
 HeaterStats HeaterThread::stats() const {

@@ -18,14 +18,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <thread>
 
 #include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "hotcache/region_registry.hpp"
-#include "obs/perf_counters.hpp"
 
 namespace semperm::hotcache {
 
@@ -38,11 +34,6 @@ struct HeaterConfig {
   /// Byte budget per pass; 0 = touch everything registered. Bounding the
   /// pass models a heater that cannot keep more than a cache's worth hot.
   std::size_t max_bytes_per_pass = 0;
-  /// Bracket every heating pass with hardware counters (perf_event_open
-  /// on the heater thread, so the reading covers exactly the heater's own
-  /// work — DESIGN.md §16). When the group cannot open, hw_error() says
-  /// why and heating proceeds unmeasured.
-  bool measure_hw = false;
 };
 
 struct HeaterStats {
@@ -112,14 +103,6 @@ class HeaterThread {
 
   HeaterStats stats() const;
 
-  /// Aggregated hardware-counter reading over every measured pass
-  /// (HeaterConfig::measure_hw). valid_mask == 0 when measurement was
-  /// off, unavailable, or no pass has completed yet; stable after stop().
-  obs::PerfCounters::Reading hw_reading() const;
-  /// Why the counter group failed to open (empty when it opened or
-  /// measurement was never requested).
-  std::string hw_error() const;
-
   /// Touch every cache line of [base, base+len): read the first 4 bytes of
   /// each line into a discarded sum. Exposed for the heater
   /// micro-benchmark.
@@ -151,9 +134,6 @@ class HeaterThread {
   std::atomic<std::uint8_t> priority_ceiling_{255};
   std::function<std::uint64_t()> stall_hook_;
   std::atomic<bool> pinned_{false};
-  mutable Mutex hw_mu_;
-  obs::PerfCounters::Reading hw_total_ GUARDED_BY(hw_mu_);
-  std::string hw_error_ GUARDED_BY(hw_mu_);
 };
 
 }  // namespace semperm::hotcache

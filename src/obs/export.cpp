@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "obs/session.hpp"
 
 namespace semperm::obs {
@@ -42,25 +43,6 @@ void escape_json(std::ostream& os, std::string_view s) {
   }
 }
 
-void write_number(std::ostream& os, double v) {
-  // JSON has no NaN/Inf; clamp to null-adjacent zero (never expected).
-  if (v != v) {
-    os << "0";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-/// Chrome-trace "ts" is microseconds. Simulated domain: 1 cycle == 1 us
-/// so the Perfetto ruler reads directly in cycles. Wall: ns -> us.
-double export_ts(const MergedEvent& me, ClockDomain domain) {
-  if (domain == ClockDomain::kSimulated)
-    return static_cast<double>(me.ev.sim);
-  return static_cast<double>(me.ev.wall_ns) / 1000.0;
-}
-
 char phase_of(EventKind kind) {
   switch (kind) {
     case EventKind::kInstant:
@@ -90,7 +72,6 @@ void write_event_name(std::ostream& os, const MergedEvent& me,
 
 void chrome_trace_json(std::ostream& os) {
   TraceSession& session = TraceSession::instance();
-  const ClockDomain domain = session.config().domain;
   const auto events = session.snapshot();
   const auto sinks = session.summaries();
 
@@ -110,53 +91,44 @@ void chrome_trace_json(std::ostream& os) {
     first = false;
     os << "{\"ph\":\"" << phase_of(me.ev.kind) << "\",\"name\":\"";
     write_event_name(os, me, session);
+    // Chrome-trace "ts" is microseconds: 1 simulated cycle is exported
+    // as 1 us, so the Perfetto ruler reads directly in cycles.
     os << "\",\"cat\":\"" << category_name(me.ev.cat)
-       << "\",\"pid\":0,\"tid\":" << me.tid << ",\"ts\":";
-    write_number(os, export_ts(me, domain));
+       << "\",\"pid\":0,\"tid\":" << me.tid << ",\"ts\":" << me.ev.sim;
     switch (me.ev.kind) {
       case EventKind::kInstant:
-        os << ",\"s\":\"t\",\"args\":{\"arg\":" << me.ev.arg << ",\"value\":";
-        write_number(os, me.ev.value);
-        os << "}";
+        os << ",\"s\":\"t\",\"args\":{\"arg\":" << me.ev.arg << ",\"value\":"
+           << json_number(me.ev.value) << "}";
         break;
       case EventKind::kBegin:
       case EventKind::kEnd:
-        os << ",\"args\":{\"arg\":" << me.ev.arg << ",\"value\":";
-        write_number(os, me.ev.value);
-        os << "}";
+        os << ",\"args\":{\"arg\":" << me.ev.arg << ",\"value\":"
+           << json_number(me.ev.value) << "}";
         break;
       case EventKind::kCounter:
-        os << ",\"args\":{\"value\":";
-        write_number(os, me.ev.value);
-        os << "}";
+        os << ",\"args\":{\"value\":" << json_number(me.ev.value) << "}";
         break;
     }
     os << ",\"sim_cycles\":" << me.ev.sim << ",\"wall_ns\":" << me.ev.wall_ns
        << "}";
   }
-  os << "],\"otherData\":{\"clock_domain\":"
-     << (domain == ClockDomain::kSimulated ? "\"simulated_cycles\""
-                                           : "\"wall\"")
+  os << "],\"otherData\":{\"clock_domain\":\"simulated_cycles\""
      << ",\"sinks\":" << sink_accounting_json_fragment() << "}}\n";
 }
 
 void timeseries_csv(std::ostream& os) {
   TraceSession& session = TraceSession::instance();
-  const ClockDomain domain = session.config().domain;
   os << "ts,tid,cat,track,name,value\n";
   for (const auto& me : session.snapshot()) {
     if (me.ev.kind != EventKind::kCounter) continue;
-    write_number(os, export_ts(me, domain));
-    os << ',' << me.tid << ',' << category_name(me.ev.cat) << ','
-       << session.track_name(me.ev.track) << ',' << me.ev.name << ',';
-    write_number(os, me.ev.value);
-    os << '\n';
+    os << me.ev.sim << ',' << me.tid << ',' << category_name(me.ev.cat) << ','
+       << session.track_name(me.ev.track) << ',' << me.ev.name << ','
+       << json_number(me.ev.value) << '\n';
   }
 }
 
 std::string timeseries_json_fragment() {
   TraceSession& session = TraceSession::instance();
-  const ClockDomain domain = session.config().domain;
   std::ostringstream os;
   os << '[';
   bool first = true;
@@ -164,16 +136,12 @@ std::string timeseries_json_fragment() {
     if (me.ev.kind != EventKind::kCounter) continue;
     if (!first) os << ',';
     first = false;
-    os << "{\"ts\":";
-    write_number(os, export_ts(me, domain));
-    os << ",\"tid\":" << me.tid << ",\"cat\":\"" << category_name(me.ev.cat)
-       << "\",\"track\":\"";
+    os << "{\"ts\":" << me.ev.sim << ",\"tid\":" << me.tid << ",\"cat\":\""
+       << category_name(me.ev.cat) << "\",\"track\":\"";
     escape_json(os, session.track_name(me.ev.track));
     os << "\",\"name\":\"";
     escape_json(os, me.ev.name);
-    os << "\",\"value\":";
-    write_number(os, me.ev.value);
-    os << '}';
+    os << "\",\"value\":" << json_number(me.ev.value) << '}';
   }
   os << ']';
   return os.str();

@@ -1,8 +1,17 @@
 #include "obs/metrics.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
 namespace semperm::obs {
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];  // the longest shortest form, -1.7976931348623157e+308, is 24
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
 
 namespace {
 
@@ -108,7 +117,7 @@ std::string MetricsRegistry::to_json() const {
     first = false;
     os << '"';
     escape_json_str(os, e.name);
-    os << "\":" << e.value->value();
+    os << "\":" << json_number(e.value->value());
   }
   os << "},\"histograms\":{";
   first = true;
@@ -119,9 +128,10 @@ std::string MetricsRegistry::to_json() const {
     os << '"';
     escape_json_str(os, e.name);
     os << "\":{\"bucket_width\":" << h.bucket_width() << ",\"total\":"
-       << h.total() << ",\"mean\":" << h.mean()
-       << ",\"p50\":" << h.quantile(0.50) << ",\"p99\":" << h.quantile(0.99)
-       << ",\"p999\":" << h.quantile(0.999) << ",\"buckets\":[";
+       << h.total() << ",\"mean\":" << json_number(h.mean())
+       << ",\"p50\":" << json_number(h.quantile(0.50))
+       << ",\"p99\":" << json_number(h.quantile(0.99))
+       << ",\"p999\":" << json_number(h.quantile(0.999)) << ",\"buckets\":[";
     for (std::size_t i = 0; i < h.bucket_count(); ++i) {
       if (i != 0) os << ',';
       os << h.bucket(i);

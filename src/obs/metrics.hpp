@@ -75,6 +75,13 @@ class Histogram {
   BucketHistogram hist_ GUARDED_BY(mu_);
 };
 
+/// `v` as a JSON number that parses back to exactly `v`: the shortest
+/// round-trip digits (std::to_chars), so 3348408 stays 3348408 and 0.1
+/// stays 0.1. JSON has no NaN or infinity; those are written as null.
+/// The bench reports, the registry and the trace export all write their
+/// numbers through it.
+std::string json_number(double v);
+
 /// Process-wide registry. Handles returned by counter()/gauge()/
 /// histogram() are stable for the process lifetime (never freed), so
 /// components may cache them at construction.

@@ -123,12 +123,9 @@ std::vector<MergedEvent> TraceSession::snapshot() {
     for (const TraceEvent& ev : sink->events_)
       merged.push_back(MergedEvent{ev, sink->tid()});
   }
-  const bool by_sim = cfg_.domain == ClockDomain::kSimulated;
   std::stable_sort(merged.begin(), merged.end(),
-                   [by_sim](const MergedEvent& a, const MergedEvent& b) {
-                     const std::uint64_t ta = by_sim ? a.ev.sim : a.ev.wall_ns;
-                     const std::uint64_t tb = by_sim ? b.ev.sim : b.ev.wall_ns;
-                     if (ta != tb) return ta < tb;
+                   [](const MergedEvent& a, const MergedEvent& b) {
+                     if (a.ev.sim != b.ev.sim) return a.ev.sim < b.ev.sim;
                      return a.tid < b.tid;
                    });
   return merged;

@@ -30,10 +30,6 @@
 
 namespace semperm::obs {
 
-/// Which clock orders the exported timeline. Simulated is the default;
-/// wall is for native-structure benches whose work is never simulated.
-enum class ClockDomain : std::uint8_t { kSimulated, kWall };
-
 struct TraceConfig {
   /// Max events retained per thread. Past this, new events are dropped
   /// (drop-newest) and counted. Storage grows lazily toward the cap.
@@ -41,7 +37,6 @@ struct TraceConfig {
   /// Keep every Nth instant/span event (counters are always kept, so
   /// occupancy tracks stay continuous under sampling). 1 = keep all.
   std::uint64_t sample_every = 1;
-  ClockDomain domain = ClockDomain::kSimulated;
 };
 
 /// One thread's event buffer. Created and owned by TraceSession.
@@ -116,8 +111,8 @@ class TraceSession {
 
   void set_this_thread_name(std::string_view name);
 
-  /// Merged view of all sinks, stably sorted by the session's clock
-  /// domain (sim or wall), then tid. Call after stop().
+  /// Merged view of all sinks, stably sorted by simulated cycle, then
+  /// tid. Call after stop().
   std::vector<MergedEvent> snapshot();
   std::vector<SinkSummary> summaries();
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,18 @@ TEST(Metrics, CounterGaugeHistogramAllBuilds) {
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   EXPECT_EQ(h.snapshot().total(), 0u);
+}
+
+TEST(Metrics, JsonNumbersParseBackExactly) {
+  EXPECT_EQ(json_number(3348408.0), "3348408");
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(std::stod(json_number(1.0 / 3.0)), 1.0 / 3.0);
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  auto& reg = MetricsRegistry::global();
+  reg.gauge("test.obs.exact_gauge").set(1234567.0);
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"test.obs.exact_gauge\":1234567"), std::string::npos)
+      << json;
 }
 
 TEST(Metrics, ProbeMacrosCompileInEveryConfiguration) {

@@ -36,9 +36,9 @@ Checks, per "traffic overload campaign" table (DESIGN.md §17.4):
      hit %") must not lose to the no-filter baseline at any intensity,
      and must beat it outright somewhere.
 
-With --compare, the two reports' tables must be identical cell for cell —
+With --compare, the two reports must be equal as parsed JSON documents —
 the determinism gate: two runs at the same --seed (and --fault spec) must
-produce bit-identical simulated results. Wall-clock metrics are exempt.
+write identical reports, every table, metric and registry value.
 
 With --expect-crossover, the "traffic crossover" table must show the
 locality effect: among rows whose flow table fits inside the LLC (at
@@ -61,12 +61,12 @@ CROSSOVER_PREFIX = "traffic crossover"
 CAMPAIGN_PREFIX = "traffic overload campaign"
 
 
-def load_tables(path):
+def load_report(path):
     with open(path) as f:
         doc = json.load(f)
     if doc.get("partial"):
         raise SystemExit(f"{path}: report is marked partial")
-    return doc.get("tables", [])
+    return doc
 
 
 def rows_as_dicts(table):
@@ -204,32 +204,27 @@ def check_crossover(path, tables, errors):
                 f"{best:.3f}x at {best_label}")
 
 
-def check_compare(path_a, tables_a, path_b, errors):
-    tables_b = load_tables(path_b)
-    strip = lambda ts: [t for t in ts
-                        if not t["title"].startswith("traffic self-")]
-    a, b = strip(tables_a), strip(tables_b)
-    if [t["title"] for t in a] != [t["title"] for t in b]:
-        errors.append(f"{path_a} vs {path_b}: table sets differ")
-        return
-    for ta, tb in zip(a, b):
-        if ta != tb:
+def check_compare(path_a, doc_a, path_b, errors):
+    doc_b = load_report(path_b)
+    for key in sorted(set(doc_a) | set(doc_b)):
+        if doc_a.get(key) != doc_b.get(key):
             errors.append(
-                f"{path_a} vs {path_b}: table '{ta['title']}' differs — "
-                f"same-seed runs must be bit-identical")
+                f"{path_a} vs {path_b}: '{key}' differs — same-seed runs "
+                f"must write identical reports")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("reports", nargs="+")
     ap.add_argument("--compare", help="second same-seed report that must "
-                    "carry identical simulated tables")
+                    "equal the first")
     ap.add_argument("--expect-crossover", action="store_true")
     args = ap.parse_args()
 
     errors = []
     for path in args.reports:
-        tables = load_tables(path)
+        doc = load_report(path)
+        tables = doc.get("tables", [])
         steering = [t for t in tables
                     if t["title"].startswith(STEERING_PREFIX)]
         campaign = [t for t in tables
@@ -249,7 +244,7 @@ def main() -> int:
         if args.expect_crossover:
             check_crossover(path, tables, errors)
         if args.compare:
-            check_compare(path, tables, args.compare, errors)
+            check_compare(path, doc, args.compare, errors)
         print(f"{path}: {checked} steering/campaign rows checked")
 
     if errors:

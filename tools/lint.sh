@@ -19,7 +19,13 @@
 #      (common/mutex.hpp) so Clang's -Wthread-safety sees every lock.
 #      Function-local mutexes guarding thread-local aggregation may be
 #      exempted with `// lint:allow-std-mutex`.
-#   3. trailing whitespace — cheap, and keeps diffs quiet.
+#   3. bare NOLINT — a suppression must name the check it silences.
+#   4. trailing whitespace — cheap, and keeps diffs quiet.
+#   5. one host clock in bench/ — bench_selfperf is the only bench main
+#      that reads the host clock, sleeps, starts threads or links a timing
+#      harness, so every other main writes the same report on every
+#      same-seed run. bench_util.cpp keeps the clock, sleep and thread of
+#      its report guard and --debug-hang.
 #
 # Exits non-zero with the offending lines on any violation. When a
 # compile_commands.json exists, the analyzer runs as a final stage so
@@ -77,7 +83,19 @@ if [ -n "$trailing" ]; then
   fail=1
 fi
 
-# --- 5. the structural analyzer (when a build exists) ------------------------
+# --- 5. one host clock in bench/ ---------------------------------------------
+host_clock=$(grep -nE 'steady_clock|system_clock|high_resolution_clock|common/timer\.hpp|sleep_for|std::thread|HeaterThread|benchmark/benchmark\.h' \
+                  bench/*.cpp bench/*.hpp \
+             | grep -vE '^bench/(bench_selfperf|bench_util)\.cpp:')
+if [ -n "$host_clock" ]; then
+  echo "lint: host clock, sleep, thread or timing harness in a bench main"
+  echo "other than bench_selfperf (host-timed measurements belong there, so"
+  echo "every other report stays byte-deterministic):"
+  echo "$host_clock"
+  fail=1
+fi
+
+# --- 6. the structural analyzer (when a build exists) ------------------------
 if [ -f build/compile_commands.json ]; then
   if ! python3 tools/semperm_analyze/analyze.py \
          --compdb build/compile_commands.json; then

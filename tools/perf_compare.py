@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Compare a self-perf JSON report against a checked-in baseline.
+"""Compare a bench_selfperf JSON report against a checked-in baseline.
 
 Usage: perf_compare.py BASELINE CURRENT [--max-regress 2.0]
 
-Every *_per_sec metric present in the baseline (lines_per_sec for
-bench_selfperf, flows/lookups_per_sec for bench_traffic) must exist in the
-current report and must not be slower than baseline/max-regress. The bound
-is deliberately loose (2x by default): it catches "the simulator got
-pathologically slower" without tripping on runner-to-runner variance.
+Every *_per_sec metric present in the baseline (bench_selfperf's
+<scenario>_<unit>_per_sec rates: cachesim lines, traffic ranks, flows and
+lookups) must exist in the current report and must not be slower than
+baseline/max-regress. The bound is deliberately loose (2x by default): it
+catches "the simulator got pathologically slower" without tripping on
+runner-to-runner variance.
 
 Every compared metric prints its ratio and signed delta even when the run
 passes, so a CI log answers "how far from the cliff is this runner?"
 without rerunning anything. A metric present in the baseline but absent
 from the candidate fails with its own distinct message (a renamed or
 dropped scenario is a harness bug, not a slowdown — the fix is different).
-Metrics only in the current report (new scenarios) are reported, not
-compared. *_p999 tail quantiles are always informational: they jitter too
+Metrics only in the current report (new scenarios, and the native queue
+and heater rows, which have no baseline) are reported, not compared. *_p999 tail quantiles are always informational: they jitter too
 much between runners to gate on, so a baseline that carries them never
 fails a run over them. Exit code 0 = ok, 1 = regression or missing
 metric.
