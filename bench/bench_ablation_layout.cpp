@@ -95,6 +95,10 @@ void run_hole_part(bool quick, bool csv) {
     cachesim::SimMem mem(hier);
     memlayout::AddressSpace space;
     auto cfg = match::QueueConfig::from_label("lla-" + std::to_string(k));
+    // The miss probes stay queued as unexpected messages, so the queue
+    // holds their addresses: the requests outlive the engine.
+    const std::size_t probes = 16;
+    std::vector<match::MatchRequest> misses(probes);
     auto bundle = match::make_engine(mem, space, cfg);
 
     // Post 2*live decoys, then cancel every other one by matching it,
@@ -115,10 +119,9 @@ void run_hole_part(bool quick, bool csv) {
     // Measure a miss search (walks everything: live entries and holes).
     bundle->prq().reset_stats();
     const Cycles mark = mem.cycles();
-    const std::size_t probes = 16;
     for (std::size_t i = 0; i < probes; ++i) {
-      match::MatchRequest msg(match::RequestKind::kUnexpected, i);
-      bundle->incoming(match::Envelope{1, 1, 0}, &msg);  // never matches PRQ
+      misses[i] = match::MatchRequest(match::RequestKind::kUnexpected, i);
+      bundle->incoming(match::Envelope{1, 1, 0}, &misses[i]);  // no PRQ match
     }
     const auto& st = bundle->prq().stats();
     table.add_row(

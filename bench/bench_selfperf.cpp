@@ -651,7 +651,7 @@ int main(int argc, char** argv) {
   if (soa_rate > 0 && ref_rate > 0)
     bench::report_metric("l1_hit_stream_speedup_vs_reference",
                          soa_rate / ref_rate);
-  bench::emit("self-performance", table, cli.flag("csv"));
+  bench::emit_rows("self-performance", table, cli.flag("csv"));
   bench::run_contention_panel(quick, cli.flag("csv"));
   if (cli.flag("profile")) {
     std::fputs(obs::prof_table(profile).c_str(), stdout);

@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
               "Packets per compute/heater epoch");
   if (!cli.parse(argc, argv)) return 0;
   bench::configure_report(cli);
-  bench::default_json_path("BENCH_traffic.json");
 
   const bool quick = cli.flag("quick");
   const bool csv = cli.flag("csv");

@@ -389,13 +389,25 @@ void report_hw_unavailable(const std::string& reason) {
   if (!reason.empty()) report_label("hw_counters_error", reason);
 }
 
-void emit(const std::string& title, const Table& table, bool csv) {
-  if (!panel_enabled(title)) return;
+namespace {
+
+void print_and_record(const std::string& title, const Table& table,
+                      bool csv) {
   std::fputs(banner(title).c_str(), stdout);
   std::fputs((csv ? table.csv() : table.render()).c_str(), stdout);
   ReportState& r = report();
   std::lock_guard<std::mutex> lock(r.mu);
   r.tables.emplace_back(title, table);
+}
+
+}  // namespace
+
+void emit(const std::string& title, const Table& table, bool csv) {
+  if (panel_enabled(title)) print_and_record(title, table, csv);
+}
+
+void emit_rows(const std::string& title, const Table& table, bool csv) {
+  if (table.rows() > 0) print_and_record(title, table, csv);
 }
 
 int finish_report() {

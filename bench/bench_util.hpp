@@ -100,6 +100,11 @@ void report_hw_unavailable(const std::string& reason);
 /// table for the JSON report. Filtered-out titles are dropped silently.
 void emit(const std::string& title, const Table& table, bool csv);
 
+/// emit() for a table whose rows the bench selected one by one with
+/// panel_enabled() (bench_selfperf's scenarios): emitted whenever it has
+/// a row, whatever its own title.
+void emit_rows(const std::string& title, const Table& table, bool csv);
+
 /// Stop the trace session (writing the requested trace outputs) and
 /// write the --json report, if one was requested. The report is written
 /// to a temporary file and renamed into place, so a crash mid-write

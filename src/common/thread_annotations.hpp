@@ -67,11 +67,3 @@
 /// (e.g. the UniqueLock shim's internals). Use with a justifying comment.
 #define NO_THREAD_SAFETY_ANALYSIS \
   SEMPERM_THREAD_ANNOTATION(no_thread_safety_analysis)
-
-/// Documentation-only marker: the annotated field/class is mutated only by
-/// one thread at a time by *external* contract (a single-writer structure
-/// like traffic::FlowTable, whose writer is the steering loop and whose
-/// only concurrent reader — the heater — touches disjoint bytes by layout).
-/// Expands to nothing; semperm_analyze's layout checks enforce the byte-
-/// disjointness half of the contract structurally.
-#define SEMPERM_EXTERNALLY_SYNCHRONIZED

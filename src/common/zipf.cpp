@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <thread>
 
@@ -13,9 +12,9 @@ namespace semperm::traffic {
 
 namespace {
 
-// Ranks per weight-pass chunk, at least: below 2^17 ranks the pass runs on
-// the calling thread alone, where a thread start would cost more than the
-// std::pow calls it saves.
+// Ranks per chunk of the weight and scaling passes, at least: below 2^17
+// ranks a pass runs on the calling thread alone, where a thread start
+// would cost more than the std::pow calls it saves.
 constexpr std::uint64_t kMinChunkRanks = std::uint64_t{1} << 16;
 constexpr std::uint64_t kMaxChunks = 4;
 
@@ -23,15 +22,18 @@ double zipf_weight(std::uint64_t rank, double s) {
   return s == 0.0 ? 1.0 : std::pow(static_cast<double>(rank + 1), -s);
 }
 
-// Unnormalized weights of ranks [begin, end), each computed on its own, so
-// splitting the ranks into chunks cannot change a bit; every slot starts
-// as its own alias.
-void fill_weights(double* w, std::uint32_t* alias, std::uint64_t begin,
-                  std::uint64_t end, double s) {
-  for (std::uint64_t r = begin; r < end; ++r) {
-    w[r] = zipf_weight(r, s);
-    alias[r] = static_cast<std::uint32_t>(r);
-  }
+// Run `pass(begin, end)` over `chunks` contiguous chunks of [0, n): chunk c
+// covers [n*c/chunks, n*(c+1)/chunks) and the calling thread takes chunk
+// 0. Helpers get their arguments by value: one that read them from the
+// caller's stack frame would share a cache line with the calling thread's
+// spills and run two to three times slower.
+template <typename Pass>
+void run_chunks(std::uint64_t n, std::uint64_t chunks, Pass pass) {
+  std::vector<std::jthread> helpers;
+  helpers.reserve(chunks - 1);
+  for (std::uint64_t c = 1; c < chunks; ++c)
+    helpers.emplace_back(pass, n * c / chunks, n * (c + 1) / chunks);
+  pass(std::uint64_t{0}, n / chunks);
 }
 
 }  // namespace
@@ -48,21 +50,17 @@ ZipfAliasTable build_zipf_alias_table(std::uint64_t support, double s) {
   double* const w = t.accept.data();
   std::uint32_t* const alias = t.alias.data();
 
-  // Chunk c covers ranks [n*c/chunks, n*(c+1)/chunks); the calling thread
-  // takes chunk 0. Helpers get their arguments by value: one that read
-  // them from this stack frame would share a cache line with the calling
-  // thread's spills and run two to three times slower.
   const std::uint64_t chunks = std::clamp<std::uint64_t>(
       n / kMinChunkRanks, 1,
       std::min(static_cast<std::uint64_t>(online_cpu_count()), kMaxChunks));
-  {
-    std::vector<std::jthread> helpers;
-    helpers.reserve(chunks - 1);
-    for (std::uint64_t c = 1; c < chunks; ++c)
-      helpers.emplace_back(fill_weights, w, alias, n * c / chunks,
-                           n * (c + 1) / chunks, s);
-    fill_weights(w, alias, 0, n / chunks, s);
-  }
+  // Unnormalized weights, each computed on its own, so splitting the ranks
+  // into chunks cannot change a bit; every slot starts as its own alias.
+  run_chunks(n, chunks, [w, alias, s](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t r = b; r < e; ++r) {
+      w[r] = zipf_weight(r, s);
+      alias[r] = static_cast<std::uint32_t>(r);
+    }
+  });
 
   // The sum stays one sequential pass in rank order: per-chunk partial
   // sums would round differently and move norm and every table entry.
@@ -71,37 +69,56 @@ ZipfAliasTable build_zipf_alias_table(std::uint64_t support, double s) {
   double sum = 0.0;
   for (std::uint64_t r = 0; r < n; ++r) sum += w[r];
   t.norm = sum;
+  // Vose's scaling, probability times n: elementwise again, so chunked.
+  const double dn = static_cast<double>(n);
+  run_chunks(n, chunks, [w, sum, dn](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t r = b; r < e; ++r) w[r] = w[r] / sum * dn;
+  });
 
-  // Vose's alias method: scale each probability by n in place, then pair
-  // every deficient ("small") slot with a donor ("large") slot. Both
-  // stacks live in one n-entry buffer — small grows from the front, large
-  // from the back — since a slot is on at most one of them. A small
-  // slot's scaled value is final once it is pushed, so it is already its
-  // acceptance probability when popped.
-  const auto stacks = std::make_unique_for_overwrite<std::uint32_t[]>(n);
-  std::uint64_t small = 0;  // stacks[0, small)
-  std::uint64_t large = n;  // stacks[large, n), top at stacks[large]
-  for (std::uint64_t r = 0; r < n; ++r) {
-    w[r] = w[r] / sum * static_cast<double>(n);
-    if (w[r] < 1.0) {
-      stacks[small++] = static_cast<std::uint32_t>(r);
-    } else {
-      stacks[--large] = static_cast<std::uint32_t>(r);
+  // Vose's pairing, in the order of its two stacks but without them. Vose
+  // pushes every slot in rank order onto the small stack (scaled weight
+  // below 1) or the large one, and pops both from the top; a large slot
+  // drained below 1 moves to the top of the small stack and is popped
+  // next. So the small stack is always the unpaired small slots in rank
+  // order with at most one drained large slot (`pending`) on top, and the
+  // large stack's top is the highest-ranked large slot not yet drained.
+  // Two downward cursors walk them: the next small slot is the next rank
+  // down that is still its own alias with a weight below 1, the next
+  // large slot the next rank down with a weight of at least 1. A small
+  // slot's weight is final once it is paired, so it is already its
+  // acceptance probability.
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  const auto next_small = [w, alias](std::uint64_t r) {
+    while (r-- > 0)
+      if (alias[r] == r && w[r] < 1.0) return r;
+    return kNone;
+  };
+  const auto next_large = [w](std::uint64_t r) {
+    while (r-- > 0)
+      if (w[r] >= 1.0) return r;
+    return kNone;
+  };
+  std::uint64_t small = n;  // the small cursor: candidates lie below it
+  std::uint64_t pending = kNone;
+  for (std::uint64_t large = next_large(n); large != kNone;) {
+    std::uint64_t s_slot = pending;
+    pending = kNone;
+    if (s_slot == kNone) {
+      small = next_small(small);
+      if (small == kNone) break;
+      s_slot = small;
+    }
+    alias[s_slot] = static_cast<std::uint32_t>(large);
+    w[large] -= 1.0 - w[s_slot];
+    if (w[large] < 1.0) {
+      pending = large;
+      large = next_large(large);
     }
   }
-  while (small > 0 && large < n) {
-    const std::uint32_t s_slot = stacks[--small];
-    const std::uint32_t l_slot = stacks[large];
-    alias[s_slot] = l_slot;
-    w[l_slot] -= 1.0 - w[s_slot];
-    if (w[l_slot] < 1.0) {
-      ++large;
-      stacks[small++] = l_slot;
-    }
-  }
-  // Leftovers on either stack hold (numerically) exactly probability 1.
-  for (std::uint64_t i = 0; i < small; ++i) w[stacks[i]] = 1.0;
-  for (std::uint64_t i = large; i < n; ++i) w[stacks[i]] = 1.0;
+  // Whatever is still its own alias was left on a stack: (numerically)
+  // exactly probability 1.
+  for (std::uint64_t r = 0; r < n; ++r)
+    if (alias[r] == r) w[r] = 1.0;
   return t;
 }
 

@@ -10,10 +10,9 @@
 // distribution: P(rank r) ∝ 1/(r+1)^s over a finite support.
 //
 // One rejection-free backend: a Vose alias table, O(1) and two Rng draws
-// per sample. The table is built in its own storage (12 bytes per rank
-// kept, 16 at the build's peak) with the std::pow weight pass split
-// across a few threads; every entry is bit-identical to a single-threaded
-// build. The inverse-CDF sampler the property tests validate it against
+// per sample. The table is built in its own storage (12 bytes per rank,
+// at the build's peak too) with the elementwise passes split across a few
+// threads; every entry is bit-identical to a single-threaded build. The inverse-CDF sampler the property tests validate it against
 // lives in tests/reference_zipf.hpp.
 //
 // Lives in common/ (not traffic/) because workloads/ also uses it; the
@@ -51,17 +50,18 @@ struct ZipfAliasTable {
 
 /// Build the alias table for `support` ranks at skew `s` — what
 /// ZipfSampler's constructor runs. The weights are written into `accept`
-/// and scaled there; Vose's small and large stacks share one
-/// support-entry scratch buffer. The std::pow pass runs in contiguous
-/// chunks on up to four threads (at most one chunk per 2^16 ranks); the
-/// sum, the stack split and the pairing are sequential, so the result
-/// does not depend on the chunk count.
+/// and scaled there, and Vose's pairing walks the table with two cursors
+/// instead of his two stacks, so nothing but `accept` and `alias` is
+/// allocated. The std::pow pass and the scaling run in contiguous chunks
+/// on up to four threads (at most one chunk per 2^16 ranks); the sum and
+/// the pairing are sequential, so the result does not depend on the
+/// chunk count.
 ZipfAliasTable build_zipf_alias_table(std::uint64_t support, double s);
 
 /// Bounded Zipf(s) sampler over ranks {0, ..., support-1}, rank 0 most
 /// popular. s = 0 degenerates to the uniform distribution. Construction
-/// is O(support) time and 12 bytes per rank of memory (16 while
-/// building); sampling allocates nothing.
+/// is O(support) time and 12 bytes per rank of memory, building
+/// included; sampling allocates nothing.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t support, double s);

@@ -29,11 +29,6 @@ FlowTable::FlowTable(FlowTableConfig cfg)
   SEMPERM_ASSERT_MSG(cfg.ways > 0 && cfg.slots > 0 &&
                          cfg.slots % cfg.ways == 0,
                      "flow table slots must be a multiple of ways");
-  // Seed every line's heater word once; it is never written again while
-  // the table is live (the HeaterThread race-freedom contract).
-  std::uint64_t sm = cfg.salt;
-  for (std::size_t i = 0; i < slots_.size(); ++i)
-    slots_[i].heat_anchor = static_cast<std::uint32_t>(splitmix64(sm) ^ i);
 }
 
 void FlowTable::attach_sim(memlayout::AddressSpace& space) {
@@ -53,40 +48,32 @@ bool FlowTable::steer(std::uint64_t flow_id, std::vector<Addr>* lines_out) {
   const Addr row_line = sim_first_line_ + static_cast<Addr>(set) * cfg_.ways;
   const bool record = lines_out != nullptr && sim_attached_;
 
+  // The victim is the first way with the oldest stamp: an empty way (0)
+  // if there is one, else the set's LRU (live stamps are distinct).
   unsigned victim = 0;
-  std::uint64_t victim_use = ~std::uint64_t{0};
-  bool victim_is_live = true;
   for (unsigned w = 0; w < cfg_.ways; ++w) {
     if (record)  // semperm-analyze: allow(hotpath-alloc) -- lines_out is the sim-charging side channel; callers preallocate and production steering passes nullptr
       lines_out->push_back(row_line + w);
     FlowSlot& s = row[w];
-    if (s.valid != 0 && s.tag == h && s.flow_id == flow_id) {
-      ++s.hits;
+    if (s.last_use != 0 && s.flow_id == flow_id) {
       s.last_use = stamp_;
       ++stats_.hits;
       hits_metric_.add(1);
       return true;
     }
-    if (s.valid == 0) {
-      if (victim_is_live) {
-        victim = w;
-        victim_is_live = false;
-      }
-    } else if (victim_is_live && s.last_use < victim_use) {
-      victim_use = s.last_use;
-      victim = w;
-    }
+    if (s.last_use < row[victim].last_use) victim = w;
   }
 
   ++stats_.misses;
   misses_metric_.add(1);
   FlowSlot& v = row[victim];
-  if (v.valid != 0) {
+  if (v.last_use != 0) {
     // A live victim is only displaced when the admission filter (if any)
     // ranks the candidate at least as hot — one-hit wonders cannot churn
     // the semi-permanently resident tail (DESIGN.md §17.1). Empty slots
     // never consult the filter.
-    if (admission_ != nullptr && !admission_->admit(h, v.tag)) {
+    if (admission_ != nullptr &&
+        !admission_->admit(h, flow_hash(flow_key(v.flow_id, cfg_.salt)))) {
       ++stats_.admission_rejects;
       return false;
     }
@@ -95,10 +82,7 @@ bool FlowTable::steer(std::uint64_t flow_id, std::vector<Addr>* lines_out) {
   } else {
     ++live_;
   }
-  v.valid = 1;
-  v.tag = h;
   v.flow_id = flow_id;
-  v.hits = 0;
   v.last_use = stamp_;
   ++stats_.insertions;
   if (record)  // semperm-analyze: allow(hotpath-alloc) -- same sim-only side channel as the probe loop above
@@ -118,8 +102,7 @@ bool FlowTable::probe(std::uint64_t flow_id, std::vector<Addr>* lines_out) {
     if (record)  // semperm-analyze: allow(hotpath-alloc) -- same sim-only side channel as steer()
       lines_out->push_back(row_line + w);
     FlowSlot& s = row[w];
-    if (s.valid != 0 && s.tag == h && s.flow_id == flow_id) {
-      ++s.hits;
+    if (s.last_use != 0 && s.flow_id == flow_id) {
       s.last_use = ++stamp_;
       ++stats_.probe_hits;
       hits_metric_.add(1);
@@ -127,19 +110,6 @@ bool FlowTable::probe(std::uint64_t flow_id, std::vector<Addr>* lines_out) {
     }
   }
   return false;
-}
-
-std::vector<std::size_t> FlowTable::register_regions(
-    hotcache::RegionRegistry& registry, std::size_t chunk_bytes,
-    std::uint8_t priority) const {
-  const std::size_t total = storage_bytes();
-  const std::size_t chunk = chunk_bytes == 0 ? total : chunk_bytes;
-  std::vector<std::size_t> handles;
-  for (std::size_t off = 0; off < total; off += chunk)
-    handles.push_back(registry.register_region(storage() + off,
-                                               std::min(chunk, total - off),
-                                               priority));
-  return handles;
 }
 
 }  // namespace semperm::traffic

@@ -7,18 +7,10 @@
 // match engine's rule list), then installs the flow over the set's LRU
 // victim.
 //
-// The table exists in two address spaces at once:
-//
-//  * native — a real vector<FlowSlot> whose lines the hot-caching heater
-//    (hotcache::HeaterThread) can keep resident via register_regions().
-//    Each slot's FIRST word is `heat_anchor`, written only at
-//    construction: the heater's touch() reads exactly the first 4 bytes
-//    of every line, so a live heater and a mutating table never race on
-//    the same bytes (TSan-clean by layout, not by luck).
-//
-//  * simulated — attach_sim() reserves a disjoint simulated region so the
-//    steering simulation can charge every probe to cachesim::Hierarchy
-//    without double-backing the storage.
+// The host keeps 16 bytes per slot: the flow id and its LRU stamp. The
+// simulated table is the one-line-per-entry layout — attach_sim()
+// reserves one line per slot, and steer() charges every probe to
+// cachesim::Hierarchy through those lines.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +19,6 @@
 
 #include "common/hot_path.hpp"
 #include "common/types.hpp"
-#include "hotcache/region_registry.hpp"
 #include "memlayout/arena.hpp"
 #include "traffic/flow.hpp"
 
@@ -41,22 +32,13 @@ class AdmissionFilter;
 
 namespace semperm::traffic {
 
-/// One steering-table entry, exactly one cache line. `heat_anchor` must
-/// stay the first field (see header comment); the static_asserts below
-/// pin the contract.
-struct alignas(kCacheLine) FlowSlot {
-  std::uint32_t heat_anchor = 0;  // heater-read word; const after init
-  std::uint32_t valid = 0;
-  std::uint64_t tag = 0;      // flow_hash of the resident flow
+/// One steering-table entry's host state. The simulated entry is a whole
+/// line (storage_bytes()); the host keeps only what steer() reads.
+struct FlowSlot {
   std::uint64_t flow_id = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t last_use = 0;  // LRU stamp
-  std::uint8_t pad[kCacheLine - 40] = {};
+  std::uint64_t last_use = 0;  // LRU stamp; 0 = empty (every stamp is >= 1)
 };
-static_assert(sizeof(FlowSlot) == kCacheLine,
-              "flow-cache entries are one line each");
-static_assert(offsetof(FlowSlot, heat_anchor) == 0,
-              "heater reads the first word of every line");
+static_assert(sizeof(FlowSlot) == 16, "the host keeps 16 bytes per slot");
 
 struct FlowTableConfig {
   /// Total entries; must be a multiple of `ways`.
@@ -126,23 +108,14 @@ class FlowTable {
   }
   resilience::AdmissionFilter* admission() const { return admission_; }
 
-  /// Register the table's native storage with the hot-caching registry in
-  /// `chunk_bytes` pieces (0 = one region covering the whole table).
-  /// Returns the slot handles, in registration order.
-  std::vector<std::size_t> register_regions(hotcache::RegionRegistry& registry,
-                                            std::size_t chunk_bytes = 0,
-                                            std::uint8_t priority = 0) const;
-
   const FlowTableStats& stats() const { return stats_; }
-  /// Flows currently resident (valid slots).
+  /// Flows currently resident (non-empty slots).
   std::size_t live_flows() const { return live_; }
   std::size_t slot_count() const { return cfg_.slots; }
   std::size_t set_count() const { return sets_; }
   unsigned ways() const { return cfg_.ways; }
-  std::size_t storage_bytes() const { return cfg_.slots * sizeof(FlowSlot); }
-  const std::byte* storage() const {
-    return reinterpret_cast<const std::byte*>(slots_.data());
-  }
+  /// The simulated table's footprint: one line per slot.
+  std::size_t storage_bytes() const { return cfg_.slots * kCacheLine; }
   bool sim_attached() const { return sim_attached_; }
   /// First simulated line index of the table (valid once attached).
   Addr sim_first_line() const { return sim_first_line_; }

@@ -97,6 +97,41 @@ TEST(HeaterThread, TouchSumsFirstWordPerLine) {
   EXPECT_EQ(sum, 12u);
 }
 
+TEST(HeaterThread, PassesRunWhileRegionsAreReregistered) {
+  // A live heater re-reads a buffer registered in eight chunks while one
+  // chunk at a time is tombstoned and registered again, so its seqlock
+  // snapshots race the registry's writes and its tombstone reuse.
+  constexpr std::size_t kChunks = 8;
+  constexpr std::size_t kChunk = 4096;
+  const std::vector<std::byte> buf(kChunks * kChunk);
+  RegionRegistry reg;
+  std::vector<std::size_t> handles;
+  for (std::size_t c = 0; c < kChunks; ++c)
+    handles.push_back(reg.register_region(buf.data() + c * kChunk, kChunk));
+  HeaterConfig cfg;
+  cfg.period_ns = 20'000;  // aggressive cadence: maximize the overlap
+  HeaterThread heater(reg, cfg);
+  heater.start();
+  // Churn until the heater has run a few passes; the round cap turns a
+  // heater that never runs into the failure below, not a hang.
+  std::size_t round = 0;
+  while (heater.stats().passes < 16 && round < 1'000'000) {
+    const std::size_t c = round++ % kChunks;
+    reg.unregister_region(handles[c]);
+    handles[c] = reg.register_region(buf.data() + c * kChunk, kChunk);
+  }
+  heater.stop();
+  const auto during = heater.stats();
+  EXPECT_GT(during.passes, 0u);
+  EXPECT_GT(during.lines_touched, 0u);
+
+  // The churned registry still covers the buffer exactly once.
+  EXPECT_EQ(reg.live_regions(), kChunks);
+  EXPECT_EQ(reg.live_bytes(), buf.size());
+  heater.run_single_pass();
+  EXPECT_EQ(heater.stats().bytes_touched - during.bytes_touched, buf.size());
+}
+
 TEST(HeaterThread, RestartAfterStop) {
   RegionRegistry reg;
   std::vector<std::byte> a(64);

@@ -57,9 +57,6 @@ EXPECTED = {
     "src/hotcache/seqlock_bad.hpp": {
         "seqlock-payload": 2,
     },
-    "src/memlayout/heat_anchor_bad.hpp": {
-        "layout-heat-anchor": 2,
-    },
     "src/common/raw_new_delete.cpp": {
         "alloc-raw-new": 1,
         "alloc-raw-delete": 2,
@@ -72,8 +69,7 @@ EXPECTED = {
 ALL_CHECK_IDS = (
     "determinism-rand", "determinism-wall-clock", "determinism-unseeded-rng",
     "audit-mesi-bypass", "hotpath-alloc", "seqlock-payload",
-    "layout-heat-anchor", "alloc-raw-new", "alloc-raw-delete",
-    "suppression-missing-justification",
+    "alloc-raw-new", "alloc-raw-delete", "suppression-missing-justification",
 )
 
 failures = []

@@ -46,9 +46,6 @@ _CHECK_DOCS = {
         "reachable from a SEMPERM_HOT function",
     "seqlock-payload":
         "plain (non-atomic) payload member in a seqlock-versioned struct",
-    "layout-heat-anchor":
-        "heat_anchor not the first member, or its struct not "
-        "alignas(kCacheLine)",
     "alloc-raw-new":
         "raw new expression (placement new exempt)",
     "alloc-raw-delete":

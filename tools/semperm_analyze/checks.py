@@ -11,7 +11,6 @@ Every check has a stable ID (reported, testable, suppressible):
                             drop_sharer
   hotpath-alloc             allocation reachable from a SEMPERM_HOT root
   seqlock-payload           non-atomic payload member in a seqlock slot
-  layout-heat-anchor        heat_anchor not first / struct not line-aligned
   alloc-raw-new             raw `new` outside placement form
   alloc-raw-delete          raw `delete` expression
   suppression-missing-justification
@@ -36,7 +35,6 @@ ALL_CHECKS = (
     "audit-mesi-bypass",
     "hotpath-alloc",
     "seqlock-payload",
-    "layout-heat-anchor",
     "alloc-raw-new",
     "alloc-raw-delete",
     "suppression-missing-justification",
@@ -333,31 +331,6 @@ def check_seqlock_payload(fi: FileIndex, sup: Suppressions) -> List[Finding]:
     return out
 
 
-def check_heat_anchor_layout(fi: FileIndex, sup: Suppressions) -> List[Finding]:
-    out: List[Finding] = []
-    for sd in fi.structs:
-        anchored = [m for m in sd.members if m.name == "heat_anchor"]
-        if not anchored:
-            continue
-        nonstatic = [m for m in sd.members if not m.is_static]
-        if nonstatic and nonstatic[0].name != "heat_anchor":
-            if not sup.is_allowed("layout-heat-anchor", anchored[0].line):
-                out.append(Finding(
-                    "layout-heat-anchor", fi.path, anchored[0].line,
-                    f"`{sd.qname}::heat_anchor` must be the first data "
-                    "member — the heater reads the first word of each "
-                    "registered line"))
-        if "kCacheLine" not in sd.alignas_text and \
-                "64" not in sd.alignas_text:
-            if not sup.is_allowed("layout-heat-anchor", sd.line):
-                out.append(Finding(
-                    "layout-heat-anchor", fi.path, sd.line,
-                    f"`{sd.qname}` carries a heat_anchor but is not "
-                    "alignas(kCacheLine): entries must each occupy exactly "
-                    "one line for per-line heating to make sense"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Raw new / delete (migrated from tools/lint.sh greps, now scope-aware)
 
@@ -419,8 +392,6 @@ def run_checks(index: ProjectIndex,
             findings.extend(check_mesi_routing(fi, sup))
         if want("seqlock-payload"):
             findings.extend(check_seqlock_payload(fi, sup))
-        if want("layout-heat-anchor"):
-            findings.extend(check_heat_anchor_layout(fi, sup))
         if want("alloc-raw-new") or want("alloc-raw-delete"):
             raw = check_raw_new_delete(fi, sup)
             findings.extend(f for f in raw if want(f.check))

@@ -6,7 +6,7 @@ Builds, from the token stream, the three structures the checks consume:
                 namespace qualification, SEMPERM_HOT marking, and body
                 tokens (lambdas inside a body are simply part of it);
   * StructDef — every struct/class with its data members in declaration
-                order (name, type text, alignas, atomic-ness);
+                order (name, type text, atomic-ness);
   * CallSite  — extracted per function body: callee name, how it was
                 qualified (plain / member / scoped), and whether the call
                 sits inside a compiled-out instrumentation macro
@@ -82,7 +82,6 @@ class StructDef:
     qname: str
     file: str
     line: int
-    alignas_text: str     # alignas argument text on the struct, '' if none
     members: List[Member] = field(default_factory=list)
     tags: List[str] = field(default_factory=list)  # header-comment tags
 
@@ -357,17 +356,13 @@ def index_file(path: str, source: str) -> FileIndex:
             if j < n and tokens[j].text == "{":
                 # Name: last plain identifier before a lone ':' (base
                 # clause), skipping macro groups and alignas(...).
-                alignas_text = ""
                 name = "<anon>"
                 k = 0
                 while k < len(header):
                     h = header[k]
                     if h.text == "alignas" and k + 1 < len(header) and \
                             header[k + 1].text == "(":
-                        end = _match_group(header, k + 1, "(", ")")
-                        alignas_text = " ".join(
-                            x.text for x in header[k + 2:end - 1])
-                        k = end
+                        k = _match_group(header, k + 1, "(", ")")
                         continue
                     if h.text == "(":
                         k = _match_group(header, k, "(", ")")
@@ -383,8 +378,7 @@ def index_file(path: str, source: str) -> FileIndex:
                     k += 1
                 sd = StructDef(name=name,
                                qname="::".join(scope_names() + [name]),
-                               file=path, line=t.line,
-                               alignas_text=alignas_text)
+                               file=path, line=t.line)
                 fi.structs.append(sd)
                 stack.append(("class", name, sd))
                 decl = []
