@@ -16,18 +16,17 @@ namespace obs = semperm::obs;
 
 namespace {
 
-/// Words in the storage block of a `sets` x `assoc` cache: tags and
-/// metadata for every way, then one grown bit per set.
+/// Words in the storage block of a `sets` x `assoc` cache: one word per
+/// way, then one grown bit per set.
 std::size_t block_words(std::size_t sets, unsigned assoc) {
-  return sets * 2 * assoc + (sets + 63) / 64;
+  return sets * assoc + (sets + 63) / 64;
 }
 
 /// Storage blocks of destroyed caches, each taken by the next cache of the
-/// same geometry (DESIGN.md §10.1). The key is set count *and* associativity:
-/// equal-sized blocks of two shapes put tags and metadata at different
-/// offsets, so a size-keyed pool would hand one shape's tags to the other
-/// as metadata. LIFO, so the block most recently in use is reused first.
-/// At most kMaxPooledWords are held; a block beyond that is freed.
+/// same geometry (DESIGN.md §10.1). The key is set count *and*
+/// associativity, which fix where each set and the grown bits sit. LIFO,
+/// so the block most recently in use is reused first. At most
+/// kMaxPooledWords are held; a block beyond that is freed.
 class StoragePool {
  public:
   struct Block {
@@ -58,8 +57,8 @@ class StoragePool {
   }
 
  private:
-  // 64 MiB: room for the caches of a 64-core KNL model (17 MB) and a
-  // Broadwell LLC (12 MB) at once.
+  // 64 MiB: room for the caches of a 64-core KNL model (8.6 MB) and a
+  // Broadwell hierarchy (6 MB) at once, several times over.
   static constexpr std::size_t kMaxPooledWords = std::size_t{8} << 20;
   Mutex mu_;
   std::vector<Block> free_ GUARDED_BY(mu_);
@@ -99,7 +98,7 @@ SetAssocCache::SetAssocCache(std::string name, std::size_t size_bytes,
                              unsigned assoc)
     : name_(std::move(name)), size_bytes_(size_bytes), assoc_(assoc) {
   StoragePool& pool = storage_pool();
-  SEMPERM_ASSERT(assoc_ > 0);
+  SEMPERM_ASSERT(assoc_ > 0 && assoc_ <= 64);  // a set's ways fit one mask
   SEMPERM_ASSERT(size_bytes_ % (static_cast<std::size_t>(assoc_) * kCacheLine) == 0);
   // Non-power-of-two set counts are common for sliced LLCs (e.g. 18-slice
   // Broadwell); index by modulo, as slice-hashing hardware effectively does
@@ -114,19 +113,14 @@ SetAssocCache::SetAssocCache(std::string name, std::size_t size_bytes,
     // Every way of the block carries an epoch <= the old owner's (or the
     // never-current kStaleEpoch), so one epoch later they are all holes.
     block_ = std::move(recycled->words);
-    epoch_ = recycled->epoch + 1;
-    SEMPERM_ASSERT(epoch_ < kStaleEpoch);
+    epoch_ = recycled->epoch;
+    bump_epoch();
   } else {
     block_ = std::make_unique_for_overwrite<std::uint64_t[]>(
         block_words(set_count_, assoc_));
-    for (std::size_t s = 0; s < set_count_; ++s) {
-      std::fill_n(set_tags(s), assoc_, Addr{0});
-      std::fill_n(set_meta(s), assoc_,
-                  pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal,
-                       false));
-    }
+    restart_epochs();
   }
-  grown_ = block_.get() + set_count_ * 2 * assoc_;
+  grown_ = block_.get() + set_count_ * assoc_;
   std::fill_n(grown_, grown_words(), std::uint64_t{0});
   SEMPERM_TRACE_ONLY(trace_track_ = obs::intern_track(name_);
                      occ_prefix_ = name_;)
@@ -135,6 +129,15 @@ SetAssocCache::SetAssocCache(std::string name, std::size_t size_bytes,
 SetAssocCache::~SetAssocCache() {
   if (block_)  // null once moved from
     storage_pool().give({set_count_, assoc_, epoch_, std::move(block_)});
+}
+
+void SetAssocCache::bump_epoch() {
+  if (++epoch_ == kStaleEpoch) restart_epochs();
+}
+
+void SetAssocCache::restart_epochs() {
+  std::fill_n(block_.get(), set_count_ * assoc_, kStaleWord);
+  epoch_ = 0;
 }
 
 void SetAssocCache::set_partition(unsigned reserved_ways) {
@@ -159,20 +162,19 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_line(
 std::optional<SetAssocCache::EvictedWay> SetAssocCache::probe_fill(
     Addr line, FillReason reason, LineClass cls, bool dirty, bool& resident) {
   const std::size_t s = set_index(line);
-  Addr* tags = set_tags(s);
-  Meta* meta = set_meta(s);
+  Word* words = set_words(s);
   SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
-  const std::size_t i = find_way(tags, meta, line);
+  const std::size_t i = find_way(words, line);
   resident = i < assoc_;
   if (resident) {
     // Refresh LRU position; heater touches re-mark the line so coverage
     // accounting reflects the most recent provider.
-    Meta m = meta[i];
+    Word m = words[i];
     if (reason == FillReason::kHeater) {
       SEMPERM_AUDIT_ONLY(if (reason_of(m) != FillReason::kHeater)
                              ++audit_heater_remarks_;)
       m = (m & ~kReasonMask) |
-          (static_cast<Meta>(FillReason::kHeater) << kReasonShift);
+          (static_cast<Word>(FillReason::kHeater) << kReasonShift);
     }
     // A network line turned normal grows its set's normal count.
     if (cls == LineClass::kNormal && is_network(m)) mark_grown(s);
@@ -191,27 +193,25 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::probe_fill(
       if (ow != prev) {
         --owner_resident_[prev];
         ++owner_resident_[ow];
-        m = (m & ~kOwnerMask) | (static_cast<Meta>(ow) << kOwnerShift);
+        m = (m & ~kOwnerMask) | (static_cast<Word>(ow) << kOwnerShift);
       }
     })
-    move_to_front(tags, meta, i, line, m);
+    move_to_front(words, i, m);
     SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
     return std::nullopt;
   }
-  return fill_absent(s, tags, meta, line, reason, cls, dirty);
+  return fill_absent(s, words, line, reason, cls, dirty);
 }
 
 std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_missed(
     std::size_t s, Addr line, FillReason reason, LineClass cls, bool dirty) {
-  Addr* tags = set_tags(s);
-  Meta* meta = set_meta(s);
-  SEMPERM_AUDIT_CHECK(s == set_index(line) &&
-                          find_way(tags, meta, line) == assoc_,
+  Word* words = set_words(s);
+  SEMPERM_AUDIT_CHECK(s == set_index(line) && find_way(words, line) == assoc_,
                       name_ << " fill_missed: line " << line
                             << " was handed set " << s
                             << " but is resident or maps elsewhere");
   SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
-  return fill_absent(s, tags, meta, line, reason, cls, dirty);
+  return fill_absent(s, words, line, reason, cls, dirty);
 }
 
 SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(Addr line,
@@ -219,19 +219,19 @@ SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(Addr line,
                                                               LineClass cls,
                                                               bool dirty) {
   const std::size_t s = set_index(line);
-  Addr* tags = set_tags(s);
-  Meta* meta = set_meta(s);
+  Word* words = set_words(s);
   // Strict no-op on residency — no LRU refresh, no counters — matching the
   // unfused `if (contains(line)) return;` prefetch guard exactly (that path
   // never reached fill_line, so the fill-call audit counter stays put too).
-  if (find_way(tags, meta, line) < assoc_) return {};
+  if (find_way(words, line) < assoc_) return {};
   SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
-  return {true, fill_absent(s, tags, meta, line, reason, cls, dirty)};
+  return {true, fill_absent(s, words, line, reason, cls, dirty)};
 }
 
 std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
-    std::size_t s, Addr* tags, Meta* meta, Addr line, FillReason reason,
-    LineClass cls, bool dirty) {
+    std::size_t s, Word* words, Addr line, FillReason reason, LineClass cls,
+    bool dirty) {
+  SEMPERM_ASSERT(line < kLineLimit);
   if (reason == FillReason::kPrefetch) ++stats_.prefetch_fills;
   if (reason == FillReason::kHeater) ++stats_.heater_fills;
 
@@ -244,10 +244,10 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
   std::size_t hole;
   if (reserved_ways_ == 0) {
     // Unpartitioned: one LRU pool.
-    hole = static_cast<std::size_t>(std::countr_one(live_mask(meta)));
+    hole = static_cast<std::size_t>(std::countr_one(live_mask(words)));
     if (hole >= assoc_) {
       hole = assoc_ - 1;  // every way live: the last one is the LRU
-      evicted = EvictedWay{tags[hole], is_dirty(meta[hole])};
+      evicted = EvictedWay{line_of(words[hole]), is_dirty(words[hole])};
       ++stats_.evictions;
     }
   } else {
@@ -255,14 +255,14 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
     const bool network = cls == LineClass::kNetwork;
     const std::size_t quota =
         network ? reserved_ways_ : assoc_ - reserved_ways_;
-    const std::uint64_t in_class = class_mask(meta, cls);
+    const std::uint64_t in_class = class_mask(words, cls);
     if (static_cast<std::size_t>(std::popcount(in_class)) >= quota) {
       // The LRU-most live way of this class is the victim.
       hole = static_cast<std::size_t>(std::bit_width(in_class)) - 1;
-      evicted = EvictedWay{tags[hole], is_dirty(meta[hole])};
+      evicted = EvictedWay{line_of(words[hole]), is_dirty(words[hole])};
       ++stats_.evictions;
     } else {
-      hole = static_cast<std::size_t>(std::countr_one(live_mask(meta)));
+      hole = static_cast<std::size_t>(std::countr_one(live_mask(words)));
     }
   }
   if (evicted && evicted->dirty) {
@@ -278,12 +278,12 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
                                           << line << " (partition overfull)");
   // Timeline probes: evictions of heater-owned lines get their own event
   // name so occupancy-loss analysis can separate them from ordinary
-  // churn. meta[hole] still holds the victim's word here.
+  // churn. words[hole] still holds the victim's word here.
   SEMPERM_TRACE_ONLY(
       if (obs::trace_on()) {
         if (evicted) {
           SEMPERM_TRACE_INSTANT(obs::Category::kCache,
-                                reason_of(meta[hole]) == FillReason::kHeater
+                                reason_of(words[hole]) == FillReason::kHeater
                                     ? "evict_heated"
                                     : "evict",
                                 trace_track_, evicted->line,
@@ -299,17 +299,17 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
                                   : "fill_demand",
                               trace_track_, line, 0.0);
       })
-  Meta packed = pack(epoch_, reason, cls, dirty);
-  // Attribution accounting: the victim's owner (meta[hole] still holds
+  Word packed = pack(line, epoch_, reason, cls, dirty);
+  // Attribution accounting: the victim's owner (words[hole] still holds
   // its word) loses a resident line, the filling owner gains one. Stale
   // holes lost theirs at flush/invalidate time and decrement nothing.
   SEMPERM_TRACE_ONLY({
-    if (evicted) --owner_resident_[owner_of(meta[hole])];
+    if (evicted) --owner_resident_[owner_of(words[hole])];
     const obs::OwnerId ow = fill_owner(reason);
     ++owner_resident_[ow];
-    packed |= static_cast<Meta>(ow) << kOwnerShift;
+    packed |= static_cast<Word>(ow) << kOwnerShift;
   })
-  move_to_front(tags, meta, hole, line, packed);
+  move_to_front(words, hole, packed);
   SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
   return evicted;
 }
@@ -321,50 +321,47 @@ bool SetAssocCache::touch_fill(Addr line, FillReason reason, LineClass cls) {
 }
 
 bool SetAssocCache::mark_dirty(Addr line) {
-  const std::size_t s = set_index(line);
-  Meta* meta = set_meta(s);
-  const std::size_t i = find_way(set_tags(s), meta, line);
+  Word* words = set_words(set_index(line));
+  const std::size_t i = find_way(words, line);
   if (i == assoc_) return false;
-  if (!is_dirty(meta[i])) {
+  if (!is_dirty(words[i])) {
     ++dirty_ways_;
     SEMPERM_AUDIT_ONLY(++audit_dirty_marks_;)
   }
-  meta[i] |= kDirtyBit;
+  words[i] |= kDirtyBit;
   return true;
 }
 
 bool SetAssocCache::line_dirty(Addr line) const {
-  const std::size_t s = set_index(line);
-  const Meta* meta = set_meta(s);
-  const std::size_t i = find_way(set_tags(s), meta, line);
-  return i < assoc_ && is_dirty(meta[i]);
+  const Word* words = set_words(set_index(line));
+  const std::size_t i = find_way(words, line);
+  return i < assoc_ && is_dirty(words[i]);
 }
 
 void SetAssocCache::invalidate(Addr line) {
-  const std::size_t s = set_index(line);
-  Meta* meta = set_meta(s);
-  const std::size_t i = find_way(set_tags(s), meta, line);
+  Word* words = set_words(set_index(line));
+  const std::size_t i = find_way(words, line);
   if (i == assoc_) return;
-  if (is_dirty(meta[i])) {
+  if (is_dirty(words[i])) {
     ++stats_.writebacks;
     --dirty_ways_;
   }
   SEMPERM_TRACE_INSTANT(obs::Category::kCache, "invalidate", trace_track_,
-                        line, is_dirty(meta[i]) ? 1.0 : 0.0);
-  SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
-  meta[i] = pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal, false);
+                        line, is_dirty(words[i]) ? 1.0 : 0.0);
+  SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(words[i])];)
+  words[i] = kStaleWord;
 }
 
 void SetAssocCache::flush() {
   // Dirty residents are written back by the flush: the running count says
-  // how many, so the epoch bump below is all the way work there is.
+  // how many, so the epoch bump below is all the way work there is, but
+  // for one restart per 4095 bumps.
   SEMPERM_TRACE_INSTANT(obs::Category::kCache, "flush", trace_track_,
                         resident_lines(), static_cast<double>(dirty_ways_));
   stats_.writebacks += dirty_ways_;
   dirty_ways_ = 0;
   ungrown_bound_ = 0;  // nothing is live
-  ++epoch_;
-  SEMPERM_ASSERT(epoch_ < kStaleEpoch);
+  bump_epoch();
   // Every owner lost every line; the stale holes left behind decrement
   // nothing when later fills reclaim them.
   SEMPERM_TRACE_ONLY(owner_resident_.fill(0);)
@@ -405,24 +402,23 @@ void SetAssocCache::pollute(std::size_t bytes) {
 
 void SetAssocCache::trim_set(std::size_t s, std::size_t per_set,
                              std::size_t normal_capacity) {
-  Meta* meta = set_meta(s);
+  Word* words = set_words(s);
   // The stream's lines and the residents compete for the normal ways;
   // only the overflow (LRU-first) is displaced. A set holding few lines
   // keeps them all — this is how a large LLC retains match state.
   std::size_t normal = 0;
   for (std::size_t i = 0; i < assoc_; ++i)
-    if (way_live(meta[i]) && !is_network(meta[i])) ++normal;
+    if (way_live(words[i]) && !is_network(words[i])) ++normal;
   if (normal + per_set <= normal_capacity) return;
   std::size_t drop = normal + per_set - normal_capacity;
   for (std::size_t i = assoc_; i-- > 0 && drop > 0;) {
-    if (way_live(meta[i]) && !is_network(meta[i])) {
-      if (is_dirty(meta[i])) {
+    if (way_live(words[i]) && !is_network(words[i])) {
+      if (is_dirty(words[i])) {
         ++stats_.writebacks;
         --dirty_ways_;
       }
-      SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
-      meta[i] = pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal,
-                     false);
+      SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(words[i])];)
+      words[i] = kStaleWord;
       --drop;
     }
   }
@@ -430,16 +426,16 @@ void SetAssocCache::trim_set(std::size_t s, std::size_t per_set,
 
 std::size_t SetAssocCache::resident_lines_filled_by(FillReason reason) const {
   std::size_t n = 0;
-  for_each_meta([&](Meta m) {
-    if (way_live(m) && reason_of(m) == reason) ++n;
+  for_each_word([&](Word w) {
+    if (way_live(w) && reason_of(w) == reason) ++n;
   });
   return n;
 }
 
 std::size_t SetAssocCache::resident_lines() const {
   std::size_t n = 0;
-  for_each_meta([&](Meta m) {
-    if (way_live(m)) ++n;
+  for_each_word([&](Word w) {
+    if (way_live(w)) ++n;
   });
   return n;
 }
@@ -495,32 +491,32 @@ void SetAssocCache::reset_stats() {
       // written back and prefetched/heated lines still earn coverage
       // hits, so the conservation bounds must start from what is already
       // in the cache, not from zero.
-      for_each_meta([&](Meta m) {
-        if (!way_live(m)) return;
-        if (is_dirty(m)) ++audit_dirty_marks_;
-        if (reason_of(m) == FillReason::kPrefetch) ++audit_prefetch_base_;
-        if (reason_of(m) == FillReason::kHeater) ++audit_heater_base_;
+      for_each_word([&](Word w) {
+        if (!way_live(w)) return;
+        if (is_dirty(w)) ++audit_dirty_marks_;
+        if (reason_of(w) == FillReason::kPrefetch) ++audit_prefetch_base_;
+        if (reason_of(w) == FillReason::kHeater) ++audit_heater_base_;
       });)
 }
 
 #if SEMPERM_AUDIT
 
 void SetAssocCache::audit_set(std::size_t set_idx) const {
-  const Addr* tags = set_tags(set_idx);
-  const Meta* meta = set_meta(set_idx);
+  const Word* words = set_words(set_idx);
   std::size_t network_ways = 0;
   std::size_t normal_ways = 0;
   for (std::size_t i = 0; i < assoc_; ++i) {
-    if (!way_live(meta[i])) continue;
-    SEMPERM_AUDIT_CHECK(set_index(tags[i]) == set_idx,
-                        name_ << " line " << tags[i]
+    if (!way_live(words[i])) continue;
+    const Addr line = line_of(words[i]);
+    SEMPERM_AUDIT_CHECK(set_index(line) == set_idx,
+                        name_ << " line " << line
                               << " indexed into the wrong set " << set_idx);
-    is_network(meta[i]) ? ++network_ways : ++normal_ways;
+    is_network(words[i]) ? ++network_ways : ++normal_ways;
     for (std::size_t j = i + 1; j < assoc_; ++j)
-      SEMPERM_AUDIT_CHECK(!(way_live(meta[j]) && tags[j] == tags[i]),
+      SEMPERM_AUDIT_CHECK(!(way_live(words[j]) && line_of(words[j]) == line),
                           name_ << " set " << set_idx
                                 << " LRU stack is not a permutation: line "
-                                << tags[i] << " appears twice");
+                                << line << " appears twice");
   }
   SEMPERM_AUDIT_CHECK(is_grown(set_idx) || normal_ways <= ungrown_bound_,
                       name_ << " set " << set_idx << " is not marked grown "
@@ -589,8 +585,8 @@ void SetAssocCache::audit() const {
   SEMPERM_AUDIT_CHECK(resident_lines() <= set_count_ * assoc_,
                       name_ << " resident lines exceed capacity");
   std::size_t dirty = 0;
-  for_each_meta([&](Meta m) {
-    if (way_live(m) && is_dirty(m)) ++dirty;
+  for_each_word([&](Word w) {
+    if (way_live(w) && is_dirty(w)) ++dirty;
   });
   SEMPERM_AUDIT_CHECK(dirty == dirty_ways_,
                       name_ << " dirty-way count " << dirty_ways_
@@ -602,9 +598,9 @@ void SetAssocCache::audit() const {
   // fields, and their sum must equal the resident-line total.
   std::array<std::uint64_t, obs::kMaxOwners> recount{};
   std::uint64_t live = 0;
-  for_each_meta([&](Meta m) {
-    if (!way_live(m)) return;
-    ++recount[owner_of(m)];
+  for_each_word([&](Word w) {
+    if (!way_live(w)) return;
+    ++recount[owner_of(w)];
     ++live;
   });
   std::uint64_t owner_sum = 0;
@@ -624,12 +620,10 @@ void SetAssocCache::audit() const {
 }
 
 void SetAssocCache::audit_corrupt_lru_for_test(Addr line) {
-  const std::size_t s = set_index(line);
-  Addr* tags = set_tags(s);
-  Meta* meta = set_meta(s);
+  Word* words = set_words(set_index(line));
   std::size_t mru = assoc_;
   for (std::size_t i = 0; i < assoc_; ++i) {
-    if (way_live(meta[i])) {
+    if (way_live(words[i])) {
       mru = i;
       break;
     }
@@ -639,15 +633,14 @@ void SetAssocCache::audit_corrupt_lru_for_test(Addr line) {
   // the stack is no longer a permutation.
   std::size_t target = assoc_;
   for (std::size_t i = 0; i < assoc_; ++i) {
-    if (i != mru && !way_live(meta[i])) {
+    if (i != mru && !way_live(words[i])) {
       target = i;
       break;
     }
   }
   if (target == assoc_) target = (mru == assoc_ - 1) ? 0 : assoc_ - 1;
   SEMPERM_ASSERT_MSG(target != mru, "cannot corrupt a 1-way set");
-  tags[target] = tags[mru];
-  meta[target] = meta[mru];
+  words[target] = words[mru];
 }
 
 void SetAssocCache::audit_clear_grown_for_test(Addr line) {

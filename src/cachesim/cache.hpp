@@ -8,11 +8,12 @@
 // access" statistics (the mechanism behind the paper's Fig. 4/5 analysis).
 //
 // Storage is flat (DESIGN.md §10): one block per cache holds, for each
-// set, its `assoc` tags followed by its `assoc` packed 64-bit metadata
-// words, and after the last set one "grown" bit per set. Each set is kept in
-// LRU order (way 0 = MRU) by rotating POD words, so the per-access cost is
-// a short contiguous tag scan plus at most one memmove — no per-access
-// allocation, no erase_if.
+// set, `assoc` 64-bit words — one per way, packing the line, its fill
+// epoch and its flags — and after the last set one "grown" bit per set.
+// Each set is kept in LRU order (way 0 = MRU) by rotating those words, so
+// the per-access cost is one masked compare per way over one contiguous
+// array plus at most one short rotation — no per-access allocation, no
+// erase_if.
 //
 // Whole-cache operations cost only what changed since the last one:
 //  * flush() is O(1): a running count of live dirty ways pays its
@@ -24,15 +25,19 @@
 //  * a destroyed cache hands its block and epoch to a pool; the next cache
 //    of the same geometry starts one epoch later, so every recycled way is
 //    already a hole and only the grown bits need clearing.
+// The epoch field is 12 bits wide: once per 4095 epochs the bump instead
+// stamps every way stale and restarts at epoch 0.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "check/audit.hpp"
+#include "common/assert.hpp"
 #include "common/hot_path.hpp"
 #include "common/simd.hpp"
 #include "common/types.hpp"
@@ -114,10 +119,11 @@ class SetAssocCache {
   SetAssocCache& operator=(const SetAssocCache&) = delete;
 
   /// Demand access to `line` (a cache-line index, not a byte address).
-  /// Returns true on hit. On hit the line becomes most-recently-used and
-  /// prefetch/heater coverage is recorded. Defined inline: this is the hot
-  /// path, and keeping it visible lets the hierarchy's streaming loop
-  /// collapse it into straight-line code.
+  /// Every line a cache is handed must be below 2^44 (a byte address below
+  /// 2^50); a larger one throws. Returns true on hit. On hit the line
+  /// becomes most-recently-used and prefetch/heater coverage is recorded.
+  /// Defined inline: this is the hot path, and keeping it visible lets the
+  /// hierarchy's streaming loop collapse it into straight-line code.
   SEMPERM_HOT bool access(Addr line) {
     std::size_t set;
     return access(line, set);
@@ -127,34 +133,32 @@ class SetAssocCache {
   /// it to fill_missed() and the demand fill does not walk it again.
   SEMPERM_HOT bool access(Addr line, std::size_t& set) {
     const std::size_t s = set = set_index(line);
-    Addr* tags = set_tags(s);
-    Meta* meta = set_meta(s);
+    Word* words = set_words(s);
     SEMPERM_AUDIT_ONLY(++audit_accesses_;)
-    const std::size_t i = find_way(tags, meta, line);
+    const std::size_t i = find_way(words, line);
     if (i == assoc_) {
       ++stats_.demand_misses;
       SEMPERM_AUDIT_ONLY(audit_stats();)
       return false;
     }
     ++stats_.demand_hits;
-    Meta m = meta[i];
-    const FillReason r = reason_of(m);
+    Word w = words[i];
+    const FillReason r = reason_of(w);
     if (r != FillReason::kDemand) {
       if (r == FillReason::kPrefetch)
         ++stats_.prefetch_hits;
       else
         ++stats_.heater_hits;
-      m &= ~kReasonMask;  // count first use only: re-mark kDemand
+      w &= ~kReasonMask;  // count first use only: re-mark kDemand
     }
-    move_to_front(tags, meta, i, line, m);
+    move_to_front(words, i, w);
     SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
     return true;
   }
 
   /// Probe without updating LRU or statistics.
   bool contains(Addr line) const {
-    const std::size_t s = set_index(line);
-    return find_way(set_tags(s), set_meta(s), line) < assoc_;
+    return find_way(set_words(set_index(line)), line) < assoc_;
   }
 
   /// An eviction produced by fill_line: which line left, and whether it was
@@ -230,7 +234,8 @@ class SetAssocCache {
   /// Drop everything (the paper's modified micro-benchmarks clear the cache
   /// between iterations to emulate a compute phase, §4.1). O(1): the
   /// running dirty-way count becomes writebacks and the epoch bump turns
-  /// every way into a hole that later fills reclaim.
+  /// every way into a hole that later fills reclaim. One flush in 4095
+  /// wraps the epoch and stamps every way stale.
   void flush();
 
   /// Model a compute phase streaming `bytes` of unrelated data through the
@@ -315,96 +320,106 @@ class SetAssocCache {
 #endif
 
  private:
-  // Packed per-way metadata word: [63:8] fill epoch, [7:4] owner id,
-  // [3:2] FillReason, [1] LineClass, [0] dirty. A way is live iff its
+  // One word per way: [63:20] line index, [19:8] fill epoch, [7:4] owner
+  // id, [3:2] FillReason, [1] LineClass, [0] dirty. A way is live iff its
   // epoch field equals the cache's current epoch; flush() bumps the
-  // epoch, invalidate() stamps the never-current kStaleEpoch.
+  // epoch, invalidate() stamps the never-current kStaleEpoch. One masked
+  // compare tests a way's line and epoch together, so a stale way that
+  // still holds the probed line never matches.
   //
   // The owner field (obs/owner.hpp) is written only in traced builds;
-  // Release leaves it zero, so packed words — and therefore every
-  // SIMD-probe predicate, which masks epoch and class bits only — are
-  // bit-identical across configurations. Riding inside the word means
-  // attribution travels through the LRU rotation for free.
-  using Meta = std::uint64_t;
-  static constexpr Meta kDirtyBit = 1;
-  static constexpr Meta kNetworkBit = 2;
+  // Release leaves it zero, and every probe mask leaves it out, so traced
+  // and untraced builds make the same decisions. Riding inside the word
+  // means attribution travels through the LRU rotation for free.
+  using Word = std::uint64_t;
+  static constexpr Word kDirtyBit = 1;
+  static constexpr Word kNetworkBit = 2;
   static constexpr unsigned kReasonShift = 2;
-  static constexpr Meta kReasonMask = Meta{3} << kReasonShift;
+  static constexpr Word kReasonMask = Word{3} << kReasonShift;
   static constexpr unsigned kOwnerShift = 4;
-  static constexpr Meta kOwnerMask = Meta{obs::kMaxOwners - 1} << kOwnerShift;
+  static constexpr Word kOwnerMask = Word{obs::kMaxOwners - 1} << kOwnerShift;
   static constexpr unsigned kEpochShift = 8;
+  static_assert((kOwnerMask >> kEpochShift) == 0, "owner field overlaps epoch");
+  static constexpr unsigned kLineShift = 20;
   static constexpr std::uint64_t kStaleEpoch =
-      (std::uint64_t{1} << (64 - kEpochShift)) - 1;
+      (std::uint64_t{1} << (kLineShift - kEpochShift)) - 1;
+  static constexpr Word kEpochMask = Word{kStaleEpoch} << kEpochShift;
+  /// The line and epoch fields: what find_way compares.
+  static constexpr Word kKeyMask = ~((Word{1} << kEpochShift) - 1);
+  /// Every line must be below this: a larger one would lose its top bits
+  /// and hit the way of another line.
+  static constexpr Addr kLineLimit = Addr{1} << (64 - kLineShift);
+  /// What invalidate(), pollute() and an epoch restart leave in a way.
+  static constexpr Word kStaleWord = kEpochMask;
 
-  static Meta pack(std::uint64_t epoch, FillReason reason, LineClass cls,
-                   bool dirty) {
-    return (epoch << kEpochShift) |
-           (static_cast<Meta>(reason) << kReasonShift) |
+  static Word pack(Addr line, std::uint64_t epoch, FillReason reason,
+                   LineClass cls, bool dirty) {
+    return (line << kLineShift) | (epoch << kEpochShift) |
+           (static_cast<Word>(reason) << kReasonShift) |
            (cls == LineClass::kNetwork ? kNetworkBit : 0) | (dirty ? 1 : 0);
   }
-  static FillReason reason_of(Meta m) {
-    return static_cast<FillReason>((m & kReasonMask) >> kReasonShift);
+  static Addr line_of(Word w) { return w >> kLineShift; }
+  static FillReason reason_of(Word w) {
+    return static_cast<FillReason>((w & kReasonMask) >> kReasonShift);
   }
-  static obs::OwnerId owner_of(Meta m) {
-    return static_cast<obs::OwnerId>((m & kOwnerMask) >> kOwnerShift);
+  static obs::OwnerId owner_of(Word w) {
+    return static_cast<obs::OwnerId>((w & kOwnerMask) >> kOwnerShift);
   }
-  static bool is_network(Meta m) { return (m & kNetworkBit) != 0; }
-  static bool is_dirty(Meta m) { return (m & kDirtyBit) != 0; }
+  static bool is_network(Word w) { return (w & kNetworkBit) != 0; }
+  static bool is_dirty(Word w) { return (w & kDirtyBit) != 0; }
 
   /// THE validity predicate: every scan — access, contains, fills,
   /// footprint and coverage accounting — filters stale-epoch ways through
   /// this one test, so they all agree after flush()/reset().
-  bool way_live(Meta m) const { return (m >> kEpochShift) == epoch_; }
-
-  /// way_live() expressed as a mask predicate over the packed word:
-  /// (m & kLiveMask) == live_want() selects exactly the ways whose epoch
-  /// field equals epoch_ — the form the SIMD probes consume.
-  static constexpr Meta kLiveMask = ~((Meta{1} << kEpochShift) - 1);
-  Meta live_want() const { return epoch_ << kEpochShift; }
+  bool way_live(Word w) const { return (w & kEpochMask) == live_want(); }
+  /// The epoch field of a live way.
+  Word live_want() const { return epoch_ << kEpochShift; }
 
   /// Find the live way holding `line` in the set block, or assoc_ if the
-  /// line is not resident. One packed scan over the contiguous tag array
-  /// with the live-epoch predicate fused in as a metadata mask
-  /// (simd.hpp; 2–4 ways per compare); stale-epoch ways are filtered
-  /// lazily right here in the probe (a stale hole may keep its leftover
-  /// tag), so no eager purge ever runs. First-match order is preserved
-  /// exactly, so results are bit-identical to the scalar loop.
-  SEMPERM_HOT std::size_t find_way(const Addr* tags, const Meta* meta,
-                                   Addr line) const {
+  /// line is not resident. One packed scan over the set's words (simd.hpp;
+  /// 2–4 ways per compare) matches line and epoch together; stale-epoch
+  /// ways are filtered lazily right here in the probe (a stale hole may
+  /// keep its leftover line), so no eager purge ever runs. The lowest
+  /// matching way is the first match of the scalar loop.
+  SEMPERM_HOT std::size_t find_way(const Word* words, Addr line) const {
+    SEMPERM_ASSERT(line < kLineLimit);
+    const Word key = line << kLineShift | live_want();
     // MRU fast path: most demand hits land on way 0 (the whole point of
     // move-to-front), and one scalar compare is cheaper than spinning up
-    // the packed probe. Falling through re-examines lane 0, which cannot
-    // change the answer (the arrays are unchanged and way 0 just missed).
-    if (tags[0] == line && way_live(meta[0])) return 0;
-    return simd::find_tag_masked(tags, meta, assoc_, line, kLiveMask,
-                                 live_want());
+    // the packed probe.
+    if ((words[0] & kKeyMask) == key) return 0;
+    const std::uint64_t hits =
+        simd::meta_match_mask(words, assoc_, kKeyMask, key);
+    return hits != 0 ? static_cast<std::size_t>(std::countr_zero(hits))
+                     : assoc_;
   }
 
   /// Bitmask of live ways in the set block (bit i = way i live).
-  std::uint64_t live_mask(const Meta* meta) const {
-    return simd::meta_match_mask(meta, assoc_, kLiveMask, live_want());
+  std::uint64_t live_mask(const Word* words) const {
+    return simd::meta_match_mask(words, assoc_, kEpochMask, live_want());
   }
 
   /// Bitmask of live ways belonging to `cls` (partition-class census:
   /// the class bit joins the epoch field in the mask, one packed scan).
-  std::uint64_t class_mask(const Meta* meta, LineClass cls) const {
+  std::uint64_t class_mask(const Word* words, LineClass cls) const {
     return simd::meta_match_mask(
-        meta, assoc_, kLiveMask | kNetworkBit,
+        words, assoc_, kEpochMask | kNetworkBit,
         live_want() | (cls == LineClass::kNetwork ? kNetworkBit : 0));
   }
 
-  /// Rotate ways [0, i] of a set block right by one and write (`line`, `m`)
-  /// at the MRU slot — the in-set move-to-front of POD words. i < assoc is
-  /// small, so the inline backward copy beats a libc memmove call.
-  static void move_to_front(Addr* tags, Meta* meta, std::size_t i, Addr line,
-                            Meta m) {
-    for (std::size_t j = i; j > 0; --j) {
-      tags[j] = tags[j - 1];
-      meta[j] = meta[j - 1];
-    }
-    tags[0] = line;
-    meta[0] = m;
+  /// Rotate ways [0, i] of a set block right by one and write `w` at the
+  /// MRU slot — the in-set move-to-front. i < assoc is small, so the
+  /// inline backward copy beats a libc memmove call.
+  static void move_to_front(Word* words, std::size_t i, Word w) {
+    for (std::size_t j = i; j > 0; --j) words[j] = words[j - 1];
+    words[0] = w;
   }
+
+  /// The next epoch: every way of the last one becomes a hole. When that
+  /// would be the never-current kStaleEpoch, restart at 0 instead.
+  void bump_epoch();
+  /// Stamp every way stale and make 0 the current epoch.
+  void restart_epochs();
 
   /// fill_line() with one probe of the set; `resident` reports whether the
   /// line was live before the fill (touch_fill's answer).
@@ -416,29 +431,25 @@ class SetAssocCache {
   /// fill_line_if_absent: counts the fill, picks the hole (stale way or
   /// evicted victim), moves the new line to the MRU slot. The caller has
   /// already established the line is absent from the set.
-  std::optional<EvictedWay> fill_absent(std::size_t s, Addr* tags, Meta* meta,
-                                        Addr line, FillReason reason,
-                                        LineClass cls, bool dirty);
+  std::optional<EvictedWay> fill_absent(std::size_t s, Word* words, Addr line,
+                                        FillReason reason, LineClass cls,
+                                        bool dirty);
 
   /// pollute()'s per-set displacement: drop the LRU-most normal lines the
   /// stream of `per_set` lines pushes past `normal_capacity`.
   void trim_set(std::size_t s, std::size_t per_set,
                 std::size_t normal_capacity);
 
-  Addr* set_tags(std::size_t set) { return block_.get() + set * 2 * assoc_; }
-  const Addr* set_tags(std::size_t set) const {
-    return block_.get() + set * 2 * assoc_;
+  Word* set_words(std::size_t set) { return block_.get() + set * assoc_; }
+  const Word* set_words(std::size_t set) const {
+    return block_.get() + set * assoc_;
   }
-  Meta* set_meta(std::size_t set) { return set_tags(set) + assoc_; }
-  const Meta* set_meta(std::size_t set) const { return set_tags(set) + assoc_; }
 
-  /// Visit every way's metadata word (the whole-cache recounts).
+  /// Visit every way's word (the whole-cache recounts).
   template <class F>
-  void for_each_meta(F&& f) const {
-    for (std::size_t s = 0; s < set_count_; ++s) {
-      const Meta* meta = set_meta(s);
-      for (std::size_t i = 0; i < assoc_; ++i) f(meta[i]);
-    }
+  void for_each_word(F&& f) const {
+    const Word* end = block_.get() + set_count_ * assoc_;
+    for (const Word* w = block_.get(); w != end; ++w) f(*w);
   }
 
   /// Words of grown bits after the set blocks: one bit per set.
@@ -466,9 +477,9 @@ class SetAssocCache {
   unsigned __int128 fastmod_magic_ = 0;  // nonzero selects the fastmod path
   std::uint64_t epoch_ = 0;
   unsigned reserved_ways_ = 0;
-  // The storage block: set s holds its tags at [2 * s * assoc, + assoc)
-  // and its metadata words right after; the grown bits follow the last
-  // set. Pooled by geometry when the cache is destroyed (cache.cpp).
+  // The storage block: set s holds its ways' words at [s * assoc, + assoc);
+  // the grown bits follow the last set. Pooled by geometry when the cache
+  // is destroyed (cache.cpp).
   std::unique_ptr<std::uint64_t[]> block_;
   // Bit s: set s gained a live normal line (a normal miss fill, or a
   // refill turning a network line normal) since the last pollute.
@@ -498,7 +509,7 @@ class SetAssocCache {
   // stamped onto fill/evict/writeback probe events.
   SEMPERM_TRACE_ONLY(std::uint16_t trace_track_ = 0;)
   // Trace-only residency attribution (DESIGN.md §16): exact per-owner
-  // resident-line counters (owner_resident_[owner_of(m)] over live ways),
+  // resident-line counters (owner_resident_[owner_of(w)] over live ways),
   // plus the lazily interned occupancy counter tracks. Maintained
   // unconditionally in traced builds — not gated on trace_on() — so a
   // session started mid-run still sees exact counters.

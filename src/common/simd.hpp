@@ -1,18 +1,17 @@
 // semperm/common/simd.hpp
 //
-// Portable packed-lane probes for the flat SoA tag/metadata arrays
-// (DESIGN.md §15). The cache hot path asks two questions per set:
+// The portable packed-lane probe over a cache set's way words (DESIGN.md
+// §15). The cache hot path asks one question per set:
 //
-//   find_tag_masked : first way i with tags[i] == tag and
-//                     (meta[i] & meta_mask) == meta_want   (the fused
-//                     tag + live-epoch/class predicate of find_way)
 //   meta_match_mask : per-way bitmask of (meta[i] & meta_mask) == meta_want
-//                     (live-way census and partition-class scans in
-//                     fill_line — popcount, countr_one and bit_width of
-//                     the mask replace the scalar bookkeeping loop)
+//                     (find_way's line + live-epoch key, whose lowest set
+//                     bit is the hit; and the live-way census and
+//                     partition-class scans of fill_line — popcount,
+//                     countr_one and bit_width of the mask replace the
+//                     scalar bookkeeping loop)
 //
-// Both are defined over unaligned 64-bit lanes so the SoA arrays need no
-// layout change. A backend is chosen once at compile time, from what the
+// It is defined over unaligned 64-bit lanes so the way words need no
+// alignment. A backend is chosen once at compile time, from what the
 // target offers:
 //
 //   AVX2    4 lanes/op   x86-64 with -mavx2 (or -march=native on most
@@ -25,17 +24,12 @@
 //   scalar  1 lane/op    everything else
 //
 // backend() returns the chosen name at runtime so bench reports can prove
-// which path was measured. The *_scalar variants are always compiled —
-// they are the oracle for the scalar-vs-SIMD equivalence test, and the
-// fallback bodies for the tail lanes of the vector loops.
+// which path was measured. meta_match_mask_scalar is always compiled — it
+// is the oracle for the scalar-vs-SIMD equivalence test.
 //
-// First-match semantics are exact: the vector loops reduce each block to
-// a lane bitmask and take the lowest set bit, which is the same way the
-// scalar loop would have returned. Stale-epoch holes may carry duplicate
-// tags (DESIGN.md §15.1), so the predicate mask is part of the probe, not
-// a post-filter. The AVX2 and SSE2 backends test tag equality and the
-// predicate together in each block, with no branch per tag candidate; the
-// NEON backend still checks the predicate per candidate lane.
+// A stale-epoch hole may still hold the probed line, even beside the live
+// way that holds it (DESIGN.md §15.1), so the epoch field is part of the
+// probe's key, not a post-filter.
 #pragma once
 
 #include <bit>
@@ -90,16 +84,6 @@ constexpr bool vectorized() {
 // ---------------------------------------------------------------------------
 // Scalar oracle — always compiled, independent of the selected backend.
 
-inline std::size_t find_tag_masked_scalar(const std::uint64_t* tags,
-                                          const std::uint64_t* meta,
-                                          std::size_t n, std::uint64_t tag,
-                                          std::uint64_t meta_mask,
-                                          std::uint64_t meta_want) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (tags[i] == tag && (meta[i] & meta_mask) == meta_want) return i;
-  return n;
-}
-
 inline std::uint64_t meta_match_mask_scalar(const std::uint64_t* meta,
                                             std::size_t n,
                                             std::uint64_t meta_mask,
@@ -116,33 +100,6 @@ inline std::uint64_t meta_match_mask_scalar(const std::uint64_t* meta,
 // carried in a single uint64_t).
 
 #if defined(SEMPERM_SIMD_BACKEND_AVX2)
-
-inline std::size_t find_tag_masked(const std::uint64_t* tags,
-                                   const std::uint64_t* meta, std::size_t n,
-                                   std::uint64_t tag, std::uint64_t meta_mask,
-                                   std::uint64_t meta_want) {
-  const __m256i vtag = _mm256_set1_epi64x(static_cast<long long>(tag));
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(meta_mask));
-  const __m256i vwant = _mm256_set1_epi64x(static_cast<long long>(meta_want));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Tag and predicate in one pass: the lowest lane satisfying both is
-    // the first match, whatever stale duplicates of the tag precede it.
-    const __m256i t =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + i));
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(meta + i));
-    const __m256i hit =
-        _mm256_and_si256(_mm256_cmpeq_epi64(t, vtag),
-                         _mm256_cmpeq_epi64(_mm256_and_si256(m, vmask), vwant));
-    const auto bits = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(hit)));
-    if (bits != 0) return i + static_cast<std::size_t>(std::countr_zero(bits));
-  }
-  for (; i < n; ++i)
-    if (tags[i] == tag && (meta[i] & meta_mask) == meta_want) return i;
-  return n;
-}
 
 inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
                                      std::uint64_t meta_mask,
@@ -182,43 +139,6 @@ inline __m128i cmpeq64(__m128i a, __m128i b) {
 }
 }  // namespace detail
 
-namespace detail {
-/// Lanes of a 2-lane block satisfying tags[i] == tag and
-/// (meta[i] & mask) == want, as a 2-bit movemask.
-inline unsigned match2(const std::uint64_t* tags, const std::uint64_t* meta,
-                       __m128i vtag, __m128i vmask, __m128i vwant) {
-  const __m128i t = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
-  const __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(meta));
-  const __m128i hit = _mm_and_si128(
-      cmpeq64(t, vtag), cmpeq64(_mm_and_si128(m, vmask), vwant));
-  return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(hit)));
-}
-}  // namespace detail
-
-inline std::size_t find_tag_masked(const std::uint64_t* tags,
-                                   const std::uint64_t* meta, std::size_t n,
-                                   std::uint64_t tag, std::uint64_t meta_mask,
-                                   std::uint64_t meta_want) {
-  const __m128i vtag = _mm_set1_epi64x(static_cast<long long>(tag));
-  const __m128i vmask = _mm_set1_epi64x(static_cast<long long>(meta_mask));
-  const __m128i vwant = _mm_set1_epi64x(static_cast<long long>(meta_want));
-  std::size_t i = 0;
-  // Tag and predicate in one pass, 4 lanes per branch (two 128-bit
-  // blocks): the lowest lane satisfying both is the first match.
-  for (; i + 4 <= n; i += 4) {
-    const unsigned bits =
-        detail::match2(tags + i, meta + i, vtag, vmask, vwant) |
-        (detail::match2(tags + i + 2, meta + i + 2, vtag, vmask, vwant) << 2);
-    if (bits != 0) return i + static_cast<std::size_t>(std::countr_zero(bits));
-  }
-  for (; i + 2 <= n; i += 2) {
-    const unsigned bits = detail::match2(tags + i, meta + i, vtag, vmask, vwant);
-    if (bits != 0) return i + static_cast<std::size_t>(std::countr_zero(bits));
-  }
-  if (i < n && tags[i] == tag && (meta[i] & meta_mask) == meta_want) return i;
-  return n;
-}
-
 inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
                                      std::uint64_t meta_mask,
                                      std::uint64_t meta_want) {
@@ -241,25 +161,6 @@ inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
 
 #elif defined(SEMPERM_SIMD_BACKEND_NEON)
 
-inline std::size_t find_tag_masked(const std::uint64_t* tags,
-                                   const std::uint64_t* meta, std::size_t n,
-                                   std::uint64_t tag, std::uint64_t meta_mask,
-                                   std::uint64_t meta_want) {
-  const uint64x2_t vtag = vdupq_n_u64(tag);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // Tags first; the metadata predicate is verified per candidate lane
-    // in ascending order, preserving first-match semantics.
-    const uint64x2_t eq = vceqq_u64(vld1q_u64(tags + i), vtag);
-    if (vgetq_lane_u64(eq, 0) != 0 && (meta[i] & meta_mask) == meta_want)
-      return i;
-    if (vgetq_lane_u64(eq, 1) != 0 && (meta[i + 1] & meta_mask) == meta_want)
-      return i + 1;
-  }
-  if (i < n && tags[i] == tag && (meta[i] & meta_mask) == meta_want) return i;
-  return n;
-}
-
 inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
                                      std::uint64_t meta_mask,
                                      std::uint64_t meta_want) {
@@ -280,13 +181,6 @@ inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
 
 #else  // scalar fallback
 
-inline std::size_t find_tag_masked(const std::uint64_t* tags,
-                                   const std::uint64_t* meta, std::size_t n,
-                                   std::uint64_t tag, std::uint64_t meta_mask,
-                                   std::uint64_t meta_want) {
-  return find_tag_masked_scalar(tags, meta, n, tag, meta_mask, meta_want);
-}
-
 inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
                                      std::uint64_t meta_mask,
                                      std::uint64_t meta_want) {
@@ -295,13 +189,14 @@ inline std::uint64_t meta_match_mask(const std::uint64_t* meta, std::size_t n,
 
 #endif
 
-/// First index i with vals[i] == val, else n — the unpredicated special
-/// case of find_tag_masked (meta_mask = 0 accepts every lane, so only the
-/// tag compare decides). Used for small exact-match tables that are not
+/// First index i with vals[i] == val, else n: the lowest lane of the
+/// full-word match mask. Used for small exact-match tables that are not
 /// epoch-tagged, e.g. the stream prefetcher's page table.
 inline std::size_t find_u64(const std::uint64_t* vals, std::size_t n,
                             std::uint64_t val) {
-  return find_tag_masked(vals, vals, n, val, 0, 0);
+  const auto first = static_cast<std::size_t>(
+      std::countr_zero(meta_match_mask(vals, n, ~std::uint64_t{0}, val)));
+  return first < n ? first : n;
 }
 
 }  // namespace semperm::simd

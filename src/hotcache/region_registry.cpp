@@ -12,15 +12,17 @@ RegionRegistry::RegionRegistry(std::size_t max_regions) : slots_(max_regions) {
 
 void RegionRegistry::write_slot(Slot& s, const void* base, std::size_t len,
                                 std::uint8_t priority, bool live) {
-  // Seqlock write: bump to odd, mutate, bump to even. The payload stores
-  // are relaxed; the odd/even version stores order them for readers.
+  // Seqlock write: bump to odd, mutate, bump to even. Each payload store
+  // releases the odd version before it, so a reader that acquires any new
+  // payload value also sees the odd version on its second version read,
+  // and retries. (No standalone fences: GCC's -fsanitize=thread rejects
+  // std::atomic_thread_fence.)
   const std::uint32_t v = s.version.load(std::memory_order_relaxed);
   s.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.base.store(static_cast<const std::byte*>(base), std::memory_order_relaxed);
-  s.len.store(len, std::memory_order_relaxed);
-  s.priority.store(priority, std::memory_order_relaxed);
-  s.live.store(live, std::memory_order_relaxed);
+  s.base.store(static_cast<const std::byte*>(base), std::memory_order_release);
+  s.len.store(len, std::memory_order_release);
+  s.priority.store(priority, std::memory_order_release);
+  s.live.store(live, std::memory_order_release);
   s.version.store(v + 2, std::memory_order_release);
 }
 
@@ -61,11 +63,13 @@ bool RegionRegistry::snapshot(std::size_t i, RegionView& out) const {
   for (int attempt = 0; attempt < 4; ++attempt) {
     const std::uint32_t v1 = s.version.load(std::memory_order_acquire);
     if (v1 & 1u) continue;  // write in progress
-    const RegionView view{s.base.load(std::memory_order_relaxed),
-                          s.len.load(std::memory_order_relaxed),
-                          s.priority.load(std::memory_order_relaxed)};
-    const bool live = s.live.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire payload loads: the second version read cannot move above
+    // them, and it sees the odd version of any write whose payload they
+    // saw.
+    const RegionView view{s.base.load(std::memory_order_acquire),
+                          s.len.load(std::memory_order_acquire),
+                          s.priority.load(std::memory_order_acquire)};
+    const bool live = s.live.load(std::memory_order_acquire);
     const std::uint32_t v2 = s.version.load(std::memory_order_relaxed);
     if (v1 == v2) {
       if (!live) return false;

@@ -72,10 +72,11 @@ class RegionRegistry {
  private:
   struct Slot {
     std::atomic<std::uint32_t> version{0};  // seqlock: odd = write in progress
-    // Payload fields are atomics accessed with relaxed ordering: a seqlock
-    // reader races with the writer by design, and the version counter (not
-    // the payload accesses) provides the ordering. Plain fields here would
-    // be a data race under the C++ memory model (and ThreadSanitizer).
+    // Payload fields are atomics, stored with release and loaded with
+    // acquire: a seqlock reader races with the writer by design, and those
+    // orders keep each payload access between the version reads and writes
+    // that bracket it. Plain fields here would be a data race under the C++
+    // memory model (and ThreadSanitizer).
     std::atomic<const std::byte*> base{nullptr};
     std::atomic<std::size_t> len{0};
     std::atomic<std::uint8_t> priority{0};

@@ -3,15 +3,17 @@
 // SetAssocCache and through the retained pre-rewrite implementation
 // (tests/reference_cache.hpp) and require *bit-identical* behaviour —
 // every return value, every statistics counter, every eviction decision,
-// and the final resident set with its dirty bits. The SoA layout, the lazy
-// stale-epoch filtering, the fastmod set indexing, the running dirty-way
-// count behind flush(), the grown-set walk of pollute() and the recycled
-// storage blocks are all supposed to be pure representation changes; this
-// test is what pins that down.
+// and the final resident set with its dirty bits. The one-word-per-way
+// layout, the lazy stale-epoch filtering and its 12-bit epoch wrap, the
+// fastmod set indexing, the running dirty-way count behind flush(), the
+// grown-set walk of pollute() and the recycled storage blocks are all
+// supposed to be pure representation changes; this test is what pins that
+// down.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "cachesim/cache.hpp"
@@ -66,8 +68,7 @@ FillReason draw_reason(Rng& rng) {
 // dirty, network and heater lines over stale ways of an earlier epoch, and
 // destroy it: the next cache of the same geometry is built on its block.
 // On a freshly allocated block the live lines [512, 512 + ways / 2) sit at
-// epoch 1, so a cache of another shape handed that block would read their
-// tags as live epoch-2 metadata.
+// epoch 1.
 void retire_cache(std::size_t size_bytes, unsigned assoc) {
   SetAssocCache old("old", size_bytes, assoc);
   const Addr ways = static_cast<Addr>(old.set_count() * assoc);
@@ -236,13 +237,131 @@ TEST(CacheGolden, BitIdenticalOnRecycledStorage) {
 }
 
 // 32 KiB 8-way and 32 KiB 16-way blocks have the same size but not the
-// same shape: a cache of one must never start on the block of the other.
-// Run as its own process (ctest runs every case so), the retired 8-way
-// cache is freshly allocated, so its live tags [512, 768) read as live
-// epoch-2 metadata to a 16-way cache handed its block.
+// same shape: a 16-way cache built after an 8-way one retired holding live
+// lines [512, 768) must start empty and replay exactly.
 TEST(CacheGolden, SameSizeOtherShapeStartsEmpty) {
   const GoldenConfig l1_16way{"32k_16way", 32 * 1024, 16, 0};
   replay_trace(l1_16way, 0x5eed, /*predecessor_assoc=*/8);
+}
+
+// The epoch field is 12 bits: the 4095th epoch bump of a cache stamps
+// every way stale and restarts at epoch 0. Three times that many flushes
+// cross at least two restarts from whatever epoch the cache starts at.
+// The cache is filled to its last way first, so ways that no later fill
+// reaches keep words of the first epoch; every flush finds live dirty,
+// network and normal lines resident.
+TEST(CacheGolden, BitIdenticalAcrossEpochWraps) {
+  constexpr std::size_t kFlushes = 3 * 4095;
+  for (const GoldenConfig& cfg : {kConfigs[1], kConfigs[3]}) {
+    SetAssocCache soa("soa", cfg.size_bytes, cfg.assoc);
+    ReferenceSetAssocCache ref("ref", cfg.size_bytes, cfg.assoc);
+    if (cfg.reserved_ways > 0) {
+      soa.set_partition(cfg.reserved_ways);
+      ref.set_partition(cfg.reserved_ways);
+    }
+    Rng rng(0xe9 + cfg.assoc);
+    const Addr capacity = static_cast<Addr>(soa.set_count() * cfg.assoc);
+    const Addr base = rng.below(Addr{1} << 40);
+    // Class is a property of the address, as in replay_trace.
+    const auto class_of = [](Addr line) {
+      return (line * 0x9e3779b97f4a7c15ULL >> 60) < 5 ? LineClass::kNetwork
+                                                      : LineClass::kNormal;
+    };
+    const auto fill_both = [&](Addr line, FillReason reason, bool dirty,
+                               std::size_t f) {
+      const auto a = soa.fill_line(line, reason, class_of(line), dirty);
+      const auto b = ref.fill_line(line, reason, class_of(line), dirty);
+      ASSERT_EQ(a.has_value(), b.has_value()) << cfg.name << " flush " << f;
+      if (a) {
+        EXPECT_EQ(a->line, b->line) << cfg.name << " flush " << f;
+        EXPECT_EQ(a->dirty, b->dirty) << cfg.name << " flush " << f;
+      }
+    };
+    // Lines of each class to leave resident at every flush.
+    const auto draw_of_class = [&](LineClass cls) {
+      Addr line;
+      do line = base + rng.below(2 * capacity);
+      while (class_of(line) != cls);
+      return line;
+    };
+    for (Addr l = 0; l < 2 * capacity; ++l)
+      fill_both(base + l, FillReason::kDemand, l % 2 == 1, 0);
+    for (std::size_t f = 0; f < kFlushes; ++f) {
+      for (int k = 0; k < 6; ++k) {
+        const Addr line = base + rng.below(2 * capacity);
+        const std::uint64_t pick = rng.below(10);
+        if (pick < 4) {
+          ASSERT_EQ(soa.access(line), ref.access(line))
+              << cfg.name << " flush " << f;
+        } else if (pick < 7) {
+          fill_both(line, draw_reason(rng), rng.chance(0.5), f);
+        } else if (pick < 8) {
+          soa.invalidate(line);
+          ref.invalidate(line);
+        } else {
+          ASSERT_EQ(soa.contains(line), ref.contains(line))
+              << cfg.name << " flush " << f;
+        }
+      }
+      const Addr dirty = draw_of_class(LineClass::kNormal);
+      const Addr network = draw_of_class(LineClass::kNetwork);
+      fill_both(dirty, FillReason::kDemand, /*dirty=*/true, f);
+      fill_both(network, FillReason::kPrefetch, rng.chance(0.5), f);
+      ASSERT_TRUE(soa.line_dirty(dirty) && soa.contains(network))
+          << cfg.name << " flush " << f;
+      soa.flush();
+      ref.flush();
+      ASSERT_EQ(soa.resident_lines(), 0u) << cfg.name << " flush " << f;
+      if (f % 256 == 0) expect_stats_eq(soa.stats(), ref.stats(), f, 0);
+      if (::testing::Test::HasFailure()) return;
+    }
+    expect_stats_eq(soa.stats(), ref.stats(), kFlushes, 0);
+    for (Addr line = base; line < base + 2 * capacity; ++line) {
+      fill_both(line, draw_reason(rng), rng.chance(0.5), kFlushes);
+      ASSERT_EQ(soa.line_dirty(line), ref.line_dirty(line)) << cfg.name;
+    }
+    for (Addr line = base; line < base + 2 * capacity; ++line)
+      ASSERT_EQ(soa.contains(line), ref.contains(line)) << cfg.name;
+    soa.audit();
+  }
+}
+
+// A cache destroyed at epoch 0xFFE hands its block to the next cache of
+// its geometry, whose next epoch would be the never-current 0xFFF: that
+// cache restarts at epoch 0, so the ways the old one invalidated (stamped
+// 0xFFF) stay holes and it starts empty. Run as its own process (ctest
+// runs every case so), the old cache starts on a fresh block at epoch 0.
+TEST(CacheGolden, RecycledAtLastEpochStartsEmpty) {
+  const GoldenConfig cfg{"24x6", 24 * 6 * kCacheLine, 6, 0};
+  {
+    SetAssocCache old("old", cfg.size_bytes, cfg.assoc);
+    for (int f = 0; f < 0xFFE; ++f) old.flush();
+    const Addr ways = static_cast<Addr>(old.set_count() * cfg.assoc);
+    for (Addr l = 0; l < ways; ++l)
+      old.fill_line(l, FillReason::kDemand,
+                    l % 4 ? LineClass::kNormal : LineClass::kNetwork,
+                    l % 2 == 1);
+    for (Addr l = 0; l < ways; l += 3) old.invalidate(l);
+    ASSERT_EQ(old.resident_lines(), ways - ways / 3);
+  }
+  replay_trace(cfg, 0xffe);
+}
+
+// A way's word keeps 44 bits of line: line 2^44 - 1 is the largest a cache
+// holds, and a larger line throws instead of hitting the way of the line
+// 2^44 below it.
+TEST(CacheGolden, LinesBelowTwoToThe44) {
+  SetAssocCache c("c", 64 * 8 * kCacheLine, 8);
+  const Addr limit = Addr{1} << 44;
+  EXPECT_FALSE(c.access(limit - 1));
+  EXPECT_FALSE(c.fill_line(limit - 1, FillReason::kDemand).has_value());
+  EXPECT_TRUE(c.access(limit - 1));
+  c.fill_line(5, FillReason::kDemand);
+  EXPECT_TRUE(c.contains(5));
+  EXPECT_THROW(c.access(limit), std::logic_error);
+  EXPECT_THROW(c.contains(limit), std::logic_error);
+  EXPECT_THROW(c.fill_line(limit, FillReason::kDemand), std::logic_error);
+  EXPECT_THROW(c.access(limit + 5), std::logic_error);
 }
 
 // The fastmod set indexing must be exact — bit-identical to `%` — or the

@@ -1,21 +1,17 @@
-// Scalar-vs-SIMD equivalence for the packed way probes (DESIGN.md §15).
+// Scalar-vs-SIMD equivalence for the packed way probe (DESIGN.md §15).
 //
 // The vector backends of common/simd.hpp must be bit-identical to the
-// always-compiled scalar oracles — same first-match index, same per-way
-// mask — for every associativity the simulator uses, including the
-// stale-epoch duplicate tags the lazy flush leaves behind (the reason the
-// metadata predicate is fused into the probe rather than post-filtered).
-// Two layers pin this:
+// always-compiled scalar oracle — same per-way mask — for every
+// associativity the simulator uses, including the stale-epoch duplicates
+// of a line the lazy flush leaves behind (the reason the epoch field is
+// part of the probe's key rather than a post-filter). Two layers pin this:
 //
-//  * primitive fuzz: find_tag_masked / meta_match_mask against their
-//    *_scalar oracles over adversarial inputs (duplicate tags, dead
-//    epochs, every n from 1 to 24 so each backend exercises its vector
-//    body and its tail lanes);
-//  * stale duplicates: sets of 1 to 64 ways where stale copies of the
-//    probed tag sit before, after, or instead of the live way, each
-//    checked against the known answer;
+//  * primitive fuzz: meta_match_mask against its scalar oracle over
+//    adversarial inputs (dead epochs, every n from 1 to 24 so each
+//    backend exercises its vector body and its tail lanes), and find_u64
+//    against a linear scan;
 //  * whole-cache replay: SetAssocCache (whose find_way sits on the
-//    probes) against the pre-rewrite reference implementation across the
+//    probe) against the pre-rewrite reference implementation across the
 //    four golden geometries — pow2, two fastmod-sliced shapes, and a way
 //    partition — under a probe-heavy operation mix, and after flushes
 //    that leave a stale duplicate of every line the next walk probes.
@@ -45,72 +41,6 @@ TEST(SimdBackend, ReportsConfiguredMode) {
   const std::string name = simd::backend();
   EXPECT_FALSE(name.empty());
   EXPECT_EQ(simd::vectorized(), name != "scalar");
-}
-
-TEST(SimdPrimitives, FindTagMatchesScalarOracle) {
-  Rng rng(0x51);
-  for (int iter = 0; iter < 20000; ++iter) {
-    // n sweeps past every associativity in use (4, 8, 16, 20) plus odd
-    // sizes, so each backend hits both its vector body and its tail.
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.below(24));
-    std::vector<std::uint64_t> tags(n), meta(n);
-    // Tiny tag alphabet forces duplicates — the stale-epoch-hole shape
-    // where only the metadata predicate separates live from dead ways.
-    for (auto& t : tags) t = rng.below(6);
-    for (auto& m : meta) m = rng.below(4) << 8 | rng.below(16);
-    const std::uint64_t tag = rng.below(6);
-    const std::uint64_t mask = rng.chance(0.5) ? ~std::uint64_t{0xFF} : 0;
-    const std::uint64_t want = (rng.below(4) << 8) & mask;
-    EXPECT_EQ(
-        simd::find_tag_masked(tags.data(), meta.data(), n, tag, mask, want),
-        simd::find_tag_masked_scalar(tags.data(), meta.data(), n, tag, mask,
-                                     want))
-        << "iter " << iter << " n " << n;
-  }
-}
-
-// flush() and pollute() leave stale ways that still carry the tags of the
-// lines the next message walks again, so a probe meets stale duplicates of
-// its tag before, after or instead of the live way. The answer is known:
-// the live way, or n when there is none. A probe that returned the first
-// tag match without its predicate would return a stale way here.
-TEST(SimdPrimitives, FindTagSkipsStaleDuplicates) {
-  constexpr std::uint64_t kEpochMask = ~std::uint64_t{0xFF};
-  constexpr std::uint64_t kLive = std::uint64_t{7} << 8;
-  constexpr std::uint64_t kStale = std::uint64_t{6} << 8;
-  constexpr std::uint64_t kTag = 0x5eed;
-  Rng rng(0x54);
-  for (std::size_t n = 1; n <= 64; ++n) {
-    // live == n: only stale copies of the tag are left.
-    for (std::size_t live = 0; live <= n; ++live) {
-      // Stale copies: 0 every way before the live one, 1 every way after
-      // it, 2 every other way, 3 a random subset.
-      for (int shape = 0; shape < 4; ++shape) {
-        std::vector<std::uint64_t> tags(n), meta(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool stale = i != live && (shape == 0   ? i < live
-                                           : shape == 1 ? i > live
-                                           : shape == 2 ? true
-                                                        : rng.chance(0.5));
-          // Non-duplicate ways hold other lines, live or stale.
-          tags[i] = stale ? kTag : 1 + i;
-          meta[i] = (stale || rng.chance(0.5) ? kStale : kLive) | rng.below(16);
-        }
-        if (live < n) {
-          tags[live] = kTag;
-          meta[live] = kLive | rng.below(16);
-        }
-        EXPECT_EQ(simd::find_tag_masked(tags.data(), meta.data(), n, kTag,
-                                        kEpochMask, kLive),
-                  live)
-            << "n " << n << " live " << live << " shape " << shape;
-        EXPECT_EQ(simd::find_tag_masked_scalar(tags.data(), meta.data(), n,
-                                               kTag, kEpochMask, kLive),
-                  live)
-            << "n " << n << " live " << live << " shape " << shape;
-      }
-    }
-  }
 }
 
 TEST(SimdPrimitives, MetaMaskMatchesScalarOracle) {
