@@ -72,6 +72,8 @@ struct CacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t writebacks = 0;  // dirty lines displaced (evict/pollute/flush)
 
+  bool operator==(const CacheStats&) const = default;
+
   double hit_rate() const {
     const double total =
         static_cast<double>(demand_hits) + static_cast<double>(demand_misses);
@@ -250,6 +252,13 @@ class SetAssocCache {
 
   const CacheStats& stats() const { return stats_; }
   void reset_stats();
+
+  /// Count `n` demand hits that a replayed batch charged without probing:
+  /// the hits its recorded run counted here (Hierarchy, DESIGN.md §10.3).
+  void count_replayed_hits(std::uint64_t n) {
+    stats_.demand_hits += n;
+    SEMPERM_AUDIT_ONLY(audit_accesses_ += n;)
+  }
 
   /// Full structural + accounting audit (see DESIGN.md § Invariant audits):
   /// every set is a valid LRU stack (distinct live lines, correctly

@@ -1,5 +1,6 @@
 #include "cachesim/hierarchy.hpp"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 
@@ -9,7 +10,8 @@ namespace semperm::cachesim {
 
 Hierarchy::Hierarchy(const ArchProfile& arch)
     : arch_(arch),
-      streamer_(arch.prefetch.stream_trigger, arch.prefetch.stream_degree) {
+      streamer_(arch.prefetch.stream_trigger, arch.prefetch.stream_degree),
+      streamer_before_(streamer_) {
   SEMPERM_ASSERT(arch_.l1.present() && arch_.l2.present());
   levels_.emplace_back("L1", arch_.l1.size_bytes, arch_.l1.assoc);
   level_latency_.push_back(arch_.l1.hit_latency);
@@ -29,6 +31,7 @@ Hierarchy::Hierarchy(const ArchProfile& arch)
 
 void Hierarchy::mark_network_region(Addr addr, std::size_t bytes) {
   SEMPERM_ASSERT(bytes > 0);
+  ++ops_;
   network_ranges_.push_back(
       NetworkRange{line_of(addr), line_of(addr + bytes - 1)});
 }
@@ -50,6 +53,78 @@ Cycles Hierarchy::access(Addr addr, std::size_t bytes, bool write) {
   const Addr last = line_of(addr + bytes - 1);
   for (Addr line = first; line <= last; ++line) total += access_line(line, write);
   ++stats_.accesses;
+  return total;
+}
+
+Cycles Hierarchy::access(std::span<const DemandAccess> batch) {
+  const bool repeat = clean_batch_.valid && clean_batch_.ops == ops_ &&
+                      clean_batch_.lines_touched == stats_.lines_touched &&
+                      std::ranges::equal(batch, clean_batch_.accesses);
+  if (!repeat) return simulate_batch(batch);
+  ++replayed_batches_;
+#if SEMPERM_AUDIT
+  // Audited builds simulate the repeat anyway: it must be clean again and
+  // charge exactly what the record says.
+  const BatchCharge want = clean_batch_.charge;
+  const Cycles cycles = simulate_batch(batch);
+  SEMPERM_AUDIT_CHECK(clean_batch_.valid && clean_batch_.charge == want,
+                      arch_.name << " replayed batch of " << batch.size()
+                                 << " accesses differs from its record");
+  return cycles;
+#else
+  // The repeat of a clean batch finds what it found: the same L1 and
+  // network-cache hits, the same no-op prefetches, and the LRU order its
+  // record left, which it leaves again.
+  const BatchCharge& c = clean_batch_.charge;
+  levels_[0].count_replayed_hits(c.l1_hits);
+  if (netcache_) netcache_->count_replayed_hits(c.net_hits);
+  stats_.lines_touched += c.lines;
+  stats_.accesses += batch.size();
+  stats_.total_cycles += c.cycles;
+  SEMPERM_TRACE_CLOCK_ADVANCE(c.cycles);
+  clean_batch_.lines_touched = stats_.lines_touched;
+  return c.cycles;
+#endif
+}
+
+Cycles Hierarchy::simulate_batch(std::span<const DemandAccess> batch) {
+  clean_batch_.valid = false;
+  std::array<CacheStats, kMaxLevels> before{};
+  for (unsigned i = 0; i < level_count(); ++i) before[i] = levels_[i].stats();
+  const CacheStats net_before = netcache_ ? netcache_->stats() : CacheStats{};
+  const std::uint64_t dram_before = stats_.dram_fetches;
+  const std::uint64_t lines_before = stats_.lines_touched;
+  streamer_before_ = streamer_;
+
+  Cycles total = 0;
+  for (const DemandAccess& a : batch) total += access(a.addr, a.bytes, a.write);
+
+  // Clean: no store, every line hit in L1 or the network cache, and every
+  // prefetch request found its line resident. Then only demand hits
+  // moved, and only there; nothing was filled, evicted, re-marked or
+  // dirtied; and the streamer is back where it started.
+  const auto only_hits_moved = [](CacheStats now, const CacheStats& then) {
+    now.demand_hits = then.demand_hits;
+    return now == then;
+  };
+  bool clean = std::ranges::none_of(batch, &DemandAccess::write) &&
+               stats_.dram_fetches == dram_before &&
+               only_hits_moved(levels_[0].stats(), before[0]) &&
+               streamer_ == streamer_before_;
+  for (unsigned i = 1; clean && i < level_count(); ++i)
+    clean = levels_[i].stats() == before[i];
+  if (netcache_ && clean)
+    clean = only_hits_moved(netcache_->stats(), net_before);
+  if (!clean) return total;
+
+  clean_batch_.accesses.assign(batch.begin(), batch.end());
+  clean_batch_.charge = BatchCharge{
+      total, levels_[0].stats().demand_hits - before[0].demand_hits,
+      netcache_ ? netcache_->stats().demand_hits - net_before.demand_hits : 0,
+      stats_.lines_touched - lines_before};
+  clean_batch_.lines_touched = stats_.lines_touched;
+  clean_batch_.ops = ops_;
+  clean_batch_.valid = true;
   return total;
 }
 
@@ -164,6 +239,7 @@ void Hierarchy::prefetch_fill(const PrefetchRequest& req) {
 }
 
 void Hierarchy::flush_all() {
+  ++ops_;
   for (auto& lvl : levels_) lvl.flush();
   if (netcache_) netcache_->flush();
   streamer_.reset();
@@ -172,12 +248,14 @@ void Hierarchy::flush_all() {
 void Hierarchy::pollute(std::size_t bytes) {
   // The dedicated network cache is untouched by construction: ordinary
   // traffic cannot allocate into it.
+  ++ops_;
   for (unsigned i = 0; i + 1 < level_count(); ++i) levels_[i].flush();
   levels_.back().pollute(bytes);
   streamer_.reset();
 }
 
 std::uint64_t Hierarchy::heater_touch(Addr addr, std::size_t bytes) {
+  ++ops_;
   if (bytes == 0) return 0;
   SetAssocCache& llc = levels_.back();
   const Addr first = line_of(addr);
@@ -199,6 +277,7 @@ bool Hierarchy::resident(unsigned level, Addr addr) const {
 }
 
 void Hierarchy::reset_stats() {
+  ++ops_;  // lines_touched restarts at 0 and could reach the record again
   stats_ = HierarchyStats{};
   for (auto& lvl : levels_) lvl.reset_stats();
   if (netcache_) netcache_->reset_stats();

@@ -51,6 +51,14 @@ struct LevelSummary {
   }
 };
 
+/// One demand access of a batch: [addr, addr+bytes), a load or a store.
+struct DemandAccess {
+  Addr addr;
+  std::size_t bytes;
+  bool write;
+  bool operator==(const DemandAccess&) const = default;
+};
+
 struct HierarchyStats {
   std::uint64_t accesses = 0;
   std::uint64_t lines_touched = 0;
@@ -66,14 +74,22 @@ class Hierarchy {
   /// Demand access covering [addr, addr+bytes). Returns modelled cycles.
   Cycles access(Addr addr, std::size_t bytes, bool write = false);
 
+  /// A batch of demand accesses: the same modelled state, statistics and
+  /// cycles as calling access(addr, bytes, write) on each element in
+  /// order. A batch equal to the last clean one, with no other operation
+  /// on the hierarchy since, is charged from that batch's record without
+  /// walking a set (DESIGN.md §10.3). SimMem::batch sends them.
+  Cycles access(std::span<const DemandAccess> batch);
+
   /// Demand access to a single cache line index.
   Cycles access_line(Addr line, bool write = false);
 
   /// Stream a batch of cache-line indices through the hierarchy: identical
   /// modelled state and per-level statistics to calling access_line() per
   /// element (each element counts as one access), without the per-line
-  /// call/dispatch overhead. This is the entry point trace replayers, the
-  /// motifs, and the heater use to stream lines.
+  /// call/dispatch overhead. Steering streams each flow-table chunk through
+  /// it; the heater calls heater_touch(), and the motifs run on
+  /// CoherentHierarchy.
   Cycles simulate(std::span<const Addr> lines, bool write = false);
 
   /// Clear all cache levels and prefetcher state (emulated compute phase /
@@ -113,6 +129,9 @@ class Hierarchy {
 
   void reset_stats();
 
+  /// Batches charged from the record of a clean batch so far.
+  std::uint64_t replayed_batches() const { return replayed_batches_; }
+
 #if SEMPERM_TRACE
   /// Sample every level's per-owner occupancy counters (plus the network
   /// cache, if configured) onto the trace timeline — the fig6 epoch hook
@@ -136,6 +155,10 @@ class Hierarchy {
   void run_prefetchers(const AccessObservation& obs);
   void prefetch_fill(const PrefetchRequest& req);
 
+  /// Simulate a batch element by element, then record it if it was clean
+  /// and drop the record if not.
+  Cycles simulate_batch(std::span<const DemandAccess> batch);
+
   struct NetworkRange {
     Addr first_line;
     Addr last_line;
@@ -152,6 +175,32 @@ class Hierarchy {
   AdjacentPairPrefetcher adjacent_pair_;
   StreamPrefetcher streamer_;
   mutable HierarchyStats stats_;  // mutable: stats() refreshes .levels
+
+  /// What a clean batch charged (DESIGN.md §10.3): its cycles, and the
+  /// counters it moved besides `accesses`, which moves by its length.
+  struct BatchCharge {
+    Cycles cycles = 0;
+    std::uint64_t l1_hits = 0;
+    std::uint64_t net_hits = 0;
+    std::uint64_t lines = 0;  // lines_touched
+    bool operator==(const BatchCharge&) const = default;
+  };
+  /// The last clean batch. It stays valid while `lines_touched` (bumped by
+  /// every demand path) and `ops_` (bumped by every other operation) hold
+  /// the values it left.
+  struct CleanBatch {
+    std::vector<DemandAccess> accesses;  // keeps its capacity
+    BatchCharge charge;
+    std::uint64_t lines_touched = 0;
+    std::uint64_t ops = 0;
+    bool valid = false;
+  };
+  CleanBatch clean_batch_;
+  std::uint64_t ops_ = 0;
+  std::uint64_t replayed_batches_ = 0;
+  // The streamer's state before the batch being simulated; copy-assigned
+  // from streamer_, whose table has the same size, so nothing allocates.
+  StreamPrefetcher streamer_before_;
 };
 
 }  // namespace semperm::cachesim

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cachesim/hierarchy.hpp"
@@ -28,12 +30,25 @@ class SimMem {
   /// must outlive the SimMem.
   void map_arena(const memlayout::Arena& arena) { arenas_.push_back(&arena); }
 
-  void read(const void* p, std::size_t n) {
-    cycles_ += hier_->access(translate(p), n, /*write=*/false);
-  }
+  void read(const void* p, std::size_t n) { access(p, n, /*write=*/false); }
 
-  void write(const void* p, std::size_t n) {
-    cycles_ += hier_->access(translate(p), n, /*write=*/true);
+  void write(const void* p, std::size_t n) { access(p, n, /*write=*/true); }
+
+  /// Run `f`, recording each read and write it issues, and charge them
+  /// when it returns as one Hierarchy batch, which the hierarchy may
+  /// replay from the record of a clean repeat (DESIGN.md §10.3). The total
+  /// is what charging them one by one gives. Batches do not nest.
+  template <class F>
+  void batch(F&& f) {
+    SEMPERM_ASSERT_MSG(!batching_, "SimMem batches do not nest");
+    batch_.clear();
+    batching_ = true;
+    struct EndBatch {
+      bool& batching;
+      ~EndBatch() { batching = false; }
+    } end{batching_};
+    std::forward<F>(f)();
+    cycles_ += hier_->access(std::span<const DemandAccess>(batch_));
   }
 
   /// Charge pure compute cycles (e.g. tag/rank comparison ALU work).
@@ -56,9 +71,20 @@ class SimMem {
   }
 
  private:
+  void access(const void* p, std::size_t n, bool write) {
+    if (batching_) {
+      // The batch keeps its capacity: a repeated walk allocates nothing.
+      batch_.push_back(DemandAccess{translate(p), n, write});
+      return;
+    }
+    cycles_ += hier_->access(translate(p), n, write);
+  }
+
   Hierarchy* hier_;
   std::vector<const memlayout::Arena*> arenas_;
   Cycles cycles_ = 0;
+  bool batching_ = false;
+  std::vector<DemandAccess> batch_;
 };
 
 static_assert(MemoryModel<SimMem>);

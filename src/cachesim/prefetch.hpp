@@ -123,11 +123,15 @@ class StreamPrefetcher {
 
   void reset();
 
+  /// Same streams in the same recency order (Hierarchy's clean-batch test).
+  bool operator==(const StreamPrefetcher&) const = default;
+
  private:
   struct Stream {
     Addr last_line = 0;
     Addr next_issue = 0;  // first line not yet requested for this run
     unsigned run = 0;
+    bool operator==(const Stream&) const = default;
   };
 
   /// Move slot `s` to the most-recently-used end of the packed order.

@@ -35,8 +35,10 @@ class MatchEngine {
   using Prq = QueueIface<PostedEntry, Mem>;
   using Umq = QueueIface<UnexpectedEntry, Mem>;
 
-  MatchEngine(std::unique_ptr<Prq> prq, std::unique_ptr<Umq> umq)
-      : prq_(std::move(prq)), umq_(std::move(umq)) {
+  /// `mem` is the memory model both queues charge; it must outlive the
+  /// engine.
+  MatchEngine(Mem& mem, std::unique_ptr<Prq> prq, std::unique_ptr<Umq> umq)
+      : mem_(&mem), prq_(std::move(prq)), umq_(std::move(umq)) {
     SEMPERM_ASSERT(prq_ && umq_);
     SEMPERM_TRACE_ONLY(prq_track_ = semperm::obs::intern_track(
                            std::string("prq/") + prq_->name());
@@ -150,9 +152,16 @@ class MatchEngine {
 
   /// Probe the unexpected queue (MPI_Iprobe semantics): the envelope of
   /// the earliest buffered message the pattern would match, if any. Does
-  /// not consume the message.
+  /// not consume the message. Over simulated memory the walk is one batch
+  /// (SimMem::batch): it is the engine's only read-only walk, so probing
+  /// an unchanged queue again issues the same reads, which the hierarchy
+  /// can replay (DESIGN.md §10.3).
   SEMPERM_HOT std::optional<Envelope> probe(const Pattern& pattern) {
-    auto hit = umq_->peek(pattern);
+    std::optional<UnexpectedEntry> hit;
+    if constexpr (Mem::kSimulated)
+      mem_->batch([&] { hit = umq_->peek(pattern); });
+    else
+      hit = umq_->peek(pattern);
     SEMPERM_AUDIT_ONLY(umq_shadow_.expect_peek(pattern, hit, umq_->name());)
     if (hit) return hit->envelope();
     return std::nullopt;
@@ -207,6 +216,7 @@ class MatchEngine {
     if (umq_sampler_) umq_sampler_->sample(umq_->size());
   }
 
+  Mem* mem_;
   std::unique_ptr<Prq> prq_;
   std::unique_ptr<Umq> umq_;
   // Shadow reference models (audited builds only): exact append-order

@@ -130,7 +130,8 @@ EngineBundle<Mem> make_engine(Mem& mem, memlayout::AddressSpace& space,
                                                   bundle.pools, 0x9e37);
   auto umq = detail::make_queue<UnexpectedEntry, Mem>(mem, cfg, *bundle.arena,
                                                       bundle.pools, 0x79b9);
-  bundle.engine = std::make_unique<MatchEngine<Mem>>(std::move(prq), std::move(umq));
+  bundle.engine =
+      std::make_unique<MatchEngine<Mem>>(mem, std::move(prq), std::move(umq));
   return bundle;
 }
 

@@ -52,7 +52,7 @@ bool FlowTable::steer(std::uint64_t flow_id, std::vector<Addr>* lines_out) {
   // if there is one, else the set's LRU (live stamps are distinct).
   unsigned victim = 0;
   for (unsigned w = 0; w < cfg_.ways; ++w) {
-    if (record)  // semperm-analyze: allow(hotpath-alloc) -- lines_out is the sim-charging side channel; callers preallocate and production steering passes nullptr
+    if (record)  // semperm-analyze: allow(hotpath-alloc) -- lines_out is the sim-charging side channel; run_steering passes its chunk, reserved to chunk_lines + ways + 1, so push_back never reallocates
       lines_out->push_back(row_line + w);
     FlowSlot& s = row[w];
     if (s.last_use != 0 && s.flow_id == flow_id) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "cachesim/arch.hpp"
 
 namespace semperm::cachesim {
@@ -159,6 +162,71 @@ TEST(Hierarchy, ResetStatsClearsCounters) {
   h.reset_stats();
   EXPECT_EQ(h.stats().lines_touched, 0u);
   EXPECT_EQ(h.level(0).stats().demand_misses, 0u);
+}
+
+/// Batched and unbatched twins: `batched` sends each batch through
+/// access(span), `twin` runs the same accesses one by one.
+struct Twins {
+  explicit Twins(const ArchProfile& arch) : batched(arch), twin(arch) {}
+
+  void read_lines(Addr first, Addr last) {
+    for (Addr line = first; line <= last; ++line) {
+      batched.access(line * kCacheLine, 8);
+      twin.access(line * kCacheLine, 8);
+    }
+  }
+
+  void batch(const std::vector<DemandAccess>& accesses) {
+    Cycles want = 0;
+    for (const DemandAccess& a : accesses)
+      want += twin.access(a.addr, a.bytes, a.write);
+    EXPECT_EQ(batched.access(std::span<const DemandAccess>(accesses)), want);
+    EXPECT_EQ(batched.stats().total_cycles, twin.stats().total_cycles);
+    EXPECT_EQ(batched.stats().lines_touched, twin.stats().lines_touched);
+    for (unsigned lvl = 0; lvl < batched.level_count(); ++lvl)
+      EXPECT_EQ(batched.level(lvl).stats(), twin.level(lvl).stats())
+          << batched.level(lvl).name();
+  }
+
+  Hierarchy batched;
+  Hierarchy twin;
+};
+
+TEST(HierarchyBatch, AStreamerThatMovedKeepsABatchFromReplaying) {
+  // Only the streamer runs (trigger 2, degree 4), so only its state can
+  // tell this batch's runs apart.
+  ArchProfile arch = sandy_bridge();
+  arch.prefetch = PrefetchConfig{false, false, true, 2, 4};
+  Twins t(arch);
+  const Addr page = Addr{1} << 14;  // first line of a 4 KiB page
+  t.read_lines(page + 40, page + 63);
+  // An ascending run up to line 60: the stream has already requested the
+  // page up to its edge, so lines 61 and 62 next request nothing.
+  t.read_lines(page + 50, page + 60);
+  // Push line 63 out of the L2: nine lines that share its L2 set.
+  const Addr l2_sets = arch.l2.size_bytes / (arch.l2.assoc * kCacheLine);
+  for (Addr k = 1; k <= 9; ++k) {
+    const Addr conflict = page + 63 + k * l2_sets;
+    t.read_lines(conflict, conflict);
+  }
+  ASSERT_FALSE(t.batched.resident(1, (page + 63) * kCacheLine));
+
+  // Lines 61 and 62: L1 hits that request nothing, so every counter but
+  // the L1's demand hits stays put, yet the stream moves on. Run again,
+  // the walk breaks the stream's direction and re-arms it, and line 63
+  // is requested into the L2: a record of the first run would miss that
+  // fill. The third run repeats the second exactly and may replay.
+  const std::vector<DemandAccess> walk = {{(page + 61) * kCacheLine, 8, false},
+                                          {(page + 62) * kCacheLine, 8, false}};
+  t.batch(walk);
+  EXPECT_EQ(t.batched.replayed_batches(), 0u);
+  const std::uint64_t l2_fills = t.twin.level(1).stats().prefetch_fills;
+  t.batch(walk);
+  EXPECT_EQ(t.twin.level(1).stats().prefetch_fills, l2_fills + 1);
+  EXPECT_EQ(t.batched.replayed_batches(), 0u);
+  t.batch(walk);
+  t.batch(walk);
+  EXPECT_EQ(t.batched.replayed_batches(), 1u);
 }
 
 }  // namespace

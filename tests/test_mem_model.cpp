@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cachesim/arch.hpp"
 
 namespace semperm::cachesim {
@@ -89,6 +91,54 @@ TEST(SimMem, UnmappedPointerThrows) {
   SimMem mem(h);
   int local = 0;
   EXPECT_THROW(mem.translate(&local), std::logic_error);
+}
+
+TEST(SimMem, BatchChargesWhatSingleAccessesDo) {
+  const auto arch = sandy_bridge();
+  Hierarchy hb(arch), hs(arch);
+  SimMem batched(hb), single(hs);
+  memlayout::AddressSpace sb, ss;
+  memlayout::Arena ab(sb, 4096), as(ss, 4096);
+  batched.map_arena(ab);
+  single.map_arena(as);
+  char* pb = static_cast<char*>(ab.allocate(512, 64));
+  char* ps = static_cast<char*>(as.allocate(512, 64));
+  // Reads, a line-crossing read, compute work and a write, twice: the
+  // second batch finds the lines resident but is not clean (it writes).
+  const auto walk = [](SimMem& mem, char* p) {
+    mem.read(p, 8);
+    mem.work(3);
+    mem.read(p + 100, 100);
+    mem.write(p + 300, 8);
+    mem.read(p + 448, 64);
+  };
+  for (int round = 0; round < 2; ++round) {
+    batched.batch([&] { walk(batched, pb); });
+    walk(single, ps);
+    EXPECT_EQ(batched.cycles(), single.cycles()) << round;
+    EXPECT_EQ(hb.stats().accesses, hs.stats().accesses) << round;
+    EXPECT_EQ(hb.stats().lines_touched, hs.stats().lines_touched) << round;
+    EXPECT_EQ(hb.level(0).stats(), hs.level(0).stats()) << round;
+  }
+  EXPECT_EQ(hb.replayed_batches(), 0u);
+}
+
+TEST(SimMem, BatchesDoNotNestAndEndWhenTheWalkThrows) {
+  Hierarchy h(quiet());
+  SimMem mem(h);
+  memlayout::AddressSpace space;
+  memlayout::Arena arena(space, 4096);
+  mem.map_arena(arena);
+  char* p = static_cast<char*>(arena.allocate(64, 64));
+  EXPECT_THROW(mem.batch([&] { mem.batch([] {}); }), std::logic_error);
+  EXPECT_THROW(mem.batch([&] {
+                 mem.read(p, 4);
+                 throw std::runtime_error("walk failed");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(mem.cycles(), 0u);  // the thrown batch charged nothing
+  mem.read(p, 4);               // and batching ended with it
+  EXPECT_EQ(mem.cycles(), quiet().dram_latency);
 }
 
 TEST(NativeMemPolicy, IsFreeAndSatisfiesConcept) {

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "cachesim/arch.hpp"
+#include "cachesim/hierarchy.hpp"
+#include "cachesim/mem_model.hpp"
 #include "match/factory.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -123,6 +127,65 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PeekRemoveTest,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+// --- a probe over simulated memory is one batch -------------------------
+
+/// One side of the twin test: a Sandy Bridge hierarchy and a baseline-list
+/// engine whose UMQ holds 64 entries the probe pattern never matches, the
+/// shape of steering's rule table.
+struct RuleTable {
+  cachesim::Hierarchy hier{cachesim::sandy_bridge()};
+  cachesim::SimMem mem{hier};
+  memlayout::AddressSpace space;
+  match::EngineBundle<cachesim::SimMem> bundle =
+      match::make_engine(mem, space, match::QueueConfig{});
+  std::vector<MatchRequest> rules = std::vector<MatchRequest>(64);
+
+  RuleTable() {
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      rules[i] = MatchRequest(match::RequestKind::kUnexpected, i);
+      bundle->incoming(Envelope{1000 + static_cast<int>(i), 2, 0}, &rules[i]);
+    }
+  }
+};
+
+void expect_same_stats(const cachesim::Hierarchy& a,
+                       const cachesim::Hierarchy& b, int at) {
+  EXPECT_EQ(a.stats().accesses, b.stats().accesses) << at;
+  EXPECT_EQ(a.stats().lines_touched, b.stats().lines_touched) << at;
+  EXPECT_EQ(a.stats().dram_fetches, b.stats().dram_fetches) << at;
+  EXPECT_EQ(a.stats().total_cycles, b.stats().total_cycles) << at;
+  for (unsigned lvl = 0; lvl < a.level_count(); ++lvl)
+    EXPECT_EQ(a.level(lvl).stats(), b.level(lvl).stats())
+        << at << " " << a.level(lvl).name();
+}
+
+TEST(ProbeReplay, BatchedProbeChargesWhatAnUnbatchedPeekDoes) {
+  RuleTable batched;
+  RuleTable twin;
+  const Pattern miss = Pattern::make(3, 7, 0);
+  for (int i = 0; i < 300; ++i) {
+    // What steering does between rule walks: compute phases and heater
+    // refreshes of the table.
+    if (i % 40 == 20) {
+      batched.hier.pollute(4 << 20);
+      twin.hier.pollute(4 << 20);
+    }
+    if (i % 50 == 45) {
+      batched.hier.heater_touch(batched.bundle.arena->sim_base(),
+                                batched.bundle.arena->used());
+      twin.hier.heater_touch(twin.bundle.arena->sim_base(),
+                             twin.bundle.arena->used());
+    }
+    EXPECT_FALSE(batched.bundle->probe(miss).has_value());
+    EXPECT_FALSE(twin.bundle->umq().peek(miss).has_value());
+    EXPECT_EQ(batched.mem.cycles(), twin.mem.cycles()) << i;
+    expect_same_stats(batched.hier, twin.hier, i);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(batched.hier.replayed_batches(), 0u);
+  EXPECT_EQ(twin.hier.replayed_batches(), 0u);
+}
 
 // --- runtime-level iprobe / cancel ---------------------------------------
 
